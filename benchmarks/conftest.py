@@ -16,6 +16,7 @@ can be diffed against the paper without re-running.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,10 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: This directory, for marking everything collected under it.
 BENCH_DIR = Path(__file__).resolve().parent
+
+# The reference implementations the speed floors are measured against
+# live in tests/oracles/; make them importable as ``oracles``.
+sys.path.insert(0, str(BENCH_DIR.parent / "tests"))
 
 
 def pytest_collection_modifyitems(items):

@@ -6,10 +6,10 @@ utilisation matrix → power → measured site energies — must run at least
 **5x faster** through the columnar engine
 (:meth:`FleetUtilization.from_placements` +
 :meth:`PowerBreakdownTrace.from_utilization` + the instruments' reduction
-fast path) than through the retained per-node oracle
-(``build_trace_loop`` + ``from_utilization_loop``), while agreeing with it
-to ≤1e-9 relative on every Table 2 energy and on the facility power
-series.
+fast path) than through the seed per-node oracle (``tests/oracles/``: the
+per-placement trace builder + the per-node power conversion), while
+agreeing with it to ≤1e-9 relative on every Table 2 energy and on the
+facility power series.
 
 The event-driven scheduler itself is shared by both engines (it is not a
 per-node loop), so each site's jobs are scheduled once and the two
@@ -22,6 +22,10 @@ import time
 
 import numpy as np
 import pytest
+
+from oracles import use_reference_substrate
+from oracles.power import from_utilization_loop
+from oracles.scheduler import build_trace_loop
 
 from repro.inventory.network import NetworkFabric
 from repro.io.jsonio import write_json
@@ -89,11 +93,10 @@ def _run_substrate(config, sites, engine: str):
         site = entry["site"]
         scheduler = entry["scheduler"]
         if engine == "oracle":
-            trace = scheduler.build_trace_loop(
-                entry["placements"], config.duration_s,
+            trace = build_trace_loop(
+                scheduler, entry["placements"], config.duration_s,
                 step_s=config.trace_step_s)
-            power = PowerBreakdownTrace.from_utilization_loop(
-                trace, entry["models"])
+            power = from_utilization_loop(trace, entry["models"])
         else:
             trace = scheduler.build_trace(
                 entry["placements"], config.duration_s,
@@ -179,14 +182,15 @@ def test_bench_fleet_engine_full_scale(scheduled_fleet, results_dir):
         f"columnar {columnar_s:.3f}s)")
 
 
-def test_fleet_engine_smoke_tiny_scale():
-    """CI smoke: both engines agree end to end at a tiny fleet scale.
+def test_fleet_engine_smoke_tiny_scale(monkeypatch):
+    """CI smoke: both substrates agree end to end at a tiny fleet scale.
 
-    Runs in a couple of seconds; keeps this benchmark importable and its
-    engine plumbing exercised on every CI run without the full-scale cost.
+    Runs in a couple of seconds; keeps this benchmark importable and the
+    oracle swap exercised on every CI run without the full-scale cost.
     """
     config = build_iris_snapshot_config(node_scale=0.02)
-    oracle = SnapshotExperiment(config, engine="oracle").run()
-    columnar = SnapshotExperiment(config, engine="columnar").run()
+    columnar = SnapshotExperiment(config).run()
+    use_reference_substrate(monkeypatch)
+    oracle = SnapshotExperiment(config).run()
     _assert_equivalent(oracle, columnar)
     assert oracle.total_best_estimate_kwh > 0

@@ -1,4 +1,6 @@
-"""Bench: the indexed scheduler engine vs the retained reference loop.
+"""Bench: the indexed scheduler loop vs the seed reference loop.
+
+The reference loop is the oracle in ``tests/oracles/scheduler.py``.
 
 The acceptance bar for the indexed engine is twofold:
 
@@ -27,6 +29,8 @@ from __future__ import annotations
 import time
 
 import pytest
+
+from oracles import scheduler as oracle, use_reference_scheduler
 
 from repro.io.jsonio import write_json
 from repro.snapshot.config import build_iris_snapshot_config
@@ -86,13 +90,17 @@ def _site_workloads(config, target_utilization=None):
     return workloads
 
 
+#: The two loops under comparison.
+ENGINES = {"reference": oracle.run, "indexed": BackfillScheduler.run}
+
+
 def _run_engine(config, workloads, engine):
-    """Schedule every site through one engine; returns per-site outcomes."""
+    """Schedule every site through one loop; returns per-site outcomes."""
+    run = ENGINES[engine]
     outcomes = []
     for site, cluster, jobs in workloads:
         scheduler = BackfillScheduler(cluster)
-        placements, stats = scheduler.run(jobs, config.duration_s,
-                                          scheduler_engine=engine)
+        placements, stats = run(scheduler, jobs, config.duration_s)
         outcomes.append((site.site, placements, stats,
                          [node.free_cores for node in cluster.nodes]))
     return outcomes
@@ -229,10 +237,8 @@ def _scaling_points():
                             max_cores_per_job=SCALING_CORES_PER_NODE
                             ).generate(duration_s=2 * 3600.0)
         scheduler = BackfillScheduler(cluster)
-        seconds = _best_time(
-            lambda: scheduler.run(jobs, 2 * 3600.0,
-                                  scheduler_engine="indexed"))
-        _, stats = scheduler.run(jobs, 2 * 3600.0, scheduler_engine="indexed")
+        seconds = _best_time(lambda: scheduler.run(jobs, 2 * 3600.0))
+        _, stats = scheduler.run(jobs, 2 * 3600.0)
         points.append({
             "nodes": node_count,
             "cores_per_node": SCALING_CORES_PER_NODE,
@@ -243,15 +249,16 @@ def _scaling_points():
     return points
 
 
-def test_scheduler_engine_smoke_tiny_scale():
-    """CI smoke: end-to-end snapshot equality between the two engines.
+def test_scheduler_engine_smoke_tiny_scale(monkeypatch):
+    """CI smoke: end-to-end snapshot equality between the two loops.
 
-    Runs in a couple of seconds; the engines being bit-identical at the
+    Runs in a couple of seconds; the loops being bit-identical at the
     scheduler layer must propagate to *exactly* equal Table 2 energies.
     """
     config = build_iris_snapshot_config(node_scale=0.02)
     indexed = SnapshotExperiment(config).run()
-    reference = SnapshotExperiment(config, scheduler_engine="reference").run()
+    use_reference_scheduler(monkeypatch)
+    reference = SnapshotExperiment(config).run()
     assert indexed.table2_rows() == reference.table2_rows()
     assert (indexed.total_best_estimate_kwh
             == reference.total_best_estimate_kwh)

@@ -1,5 +1,7 @@
 """Bench: the columnar sweep compiler vs the per-spec reference loop.
 
+The reference loop is the oracle in ``tests/oracles/batch.py``.
+
 The acceptance bar for the compiled batch engine is twofold:
 
 * **Bit identity.**  Over a 1,000-point analysis-only grid (intensity ×
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import json
 import time
+
+from oracles import batch as oracle
 
 from repro.api import BatchAssessmentRunner, SubstrateCache, default_spec
 from repro.io.jsonio import write_json
@@ -75,13 +79,12 @@ def test_bench_sweep_columnar_speedup(results_dir):
 
     axes = _analysis_grid()
     columnar = BatchAssessmentRunner(base, substrates=substrates)
-    reference = BatchAssessmentRunner(base, substrates=substrates,
-                                      batch_engine="reference")
     specs = columnar.grid_specs(**axes)
     assert len(specs) == 1000
     assert len({spec.physical_key() for spec in specs}) == 1
 
-    reference_s, reference_batch = _best_time(lambda: reference.sweep(**axes))
+    reference_s, reference_batch = _best_time(
+        lambda: oracle.sweep(columnar, **axes))
     columnar_s, columnar_batch = _best_time(lambda: columnar.sweep(**axes))
     speedup = reference_s / columnar_s if columnar_s > 0 else float("inf")
 
@@ -101,7 +104,7 @@ def test_bench_sweep_columnar_speedup(results_dir):
     mixed_columnar_s, mixed_col = _best_time(
         lambda: columnar.sweep(**mixed_axes))
     mixed_reference_s, mixed_ref = _best_time(
-        lambda: reference.sweep(**mixed_axes))
+        lambda: oracle.sweep(columnar, **mixed_axes))
     assert _canonical_rows(mixed_col) == _canonical_rows(mixed_ref)
 
     write_json(results_dir / "bench_sweep.json", {
@@ -148,10 +151,9 @@ def test_sweep_compiler_smoke_tiny_scale():
     base = default_spec(node_scale=0.02)
     axes = dict(intensity=[50.0, 175.0], pue=[1.1, 1.3],
                 amortization=["linear", "utilization-weighted"])
-    columnar = BatchAssessmentRunner(
-        base, substrates=substrates).sweep(**axes)
-    reference = BatchAssessmentRunner(
-        base, substrates=substrates, batch_engine="reference").sweep(**axes)
+    runner = BatchAssessmentRunner(base, substrates=substrates)
+    columnar = runner.sweep(**axes)
+    reference = oracle.sweep(runner, **axes)
     assert substrates.snapshot_runs == 1
     assert _canonical_rows(columnar) == _canonical_rows(reference)
     assert all(result.total_kg > 0 for result in columnar)

@@ -17,13 +17,12 @@ import time
 
 import numpy as np
 
+from oracles.temporal import integrate_power_intensity_naive
+
 from repro.api import Assessment, SubstrateCache, TemporalAssessment, default_spec
 from repro.grid.synthetic import SyntheticGridModel
 from repro.io.jsonio import write_json
-from repro.temporal.integrate import (
-    integrate_power_intensity,
-    integrate_power_intensity_naive,
-)
+from repro.temporal.integrate import integrate_power_intensity
 from repro.timeseries.series import TimeSeries
 
 #: One year of hourly intervals — the resolution the acceptance bar names.

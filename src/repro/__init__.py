@@ -87,7 +87,6 @@ from repro.core import (
     EmbodiedCarbonCalculator,
     EmbodiedScenarioGrid,
     LinearAmortization,
-    MonteCarloCarbonModel,
     ScenarioLevel,
     SnapshotInputs,
     TotalCarbonResult,
@@ -120,7 +119,6 @@ from repro.snapshot import (
     SnapshotExperiment,
     SnapshotResult,
     build_iris_snapshot_config,
-    default_iris_snapshot_config,
 )
 from repro.reporting import AuditReport, EquivalenceReport, format_table
 from repro.api import (
@@ -173,7 +171,6 @@ __all__ = [
     "EmbodiedCarbonCalculator",
     "EmbodiedScenarioGrid",
     "LinearAmortization",
-    "MonteCarloCarbonModel",
     "ScenarioLevel",
     "SnapshotInputs",
     "TotalCarbonResult",
@@ -204,7 +201,6 @@ __all__ = [
     "SnapshotExperiment",
     "SnapshotResult",
     "build_iris_snapshot_config",
-    "default_iris_snapshot_config",
     # unified assessment API
     "Assessment",
     "AssessmentResult",

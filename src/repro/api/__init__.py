@@ -60,7 +60,6 @@ from repro.api.result import AssessmentResult
 from repro.api.assessment import Assessment
 from repro.api.columnar import SweepPlan, columnar_eligible, compile_sweep
 from repro.api.batch import (
-    BATCH_ENGINES,
     BatchAssessmentRunner,
     BatchResult,
     SWEEP_AXES,
@@ -88,7 +87,6 @@ __all__ = [
     "TemporalAssessment",
     "TemporalAssessmentResult",
     "SWEEP_AXES",
-    "BATCH_ENGINES",
     # sweep compiler
     "COLUMNAR_SWEEP_FIELDS",
     "SweepPlan",

@@ -23,9 +23,9 @@ embodied estimate × fleet scale — over the same measured snapshot.
 The kernel replays the reference pipeline's float operations exactly, so
 the compiled engine is **bit-identical** to the per-spec loop — same
 results, same ordering, byte-identical serialised payloads and catalog
-digests.  The loop itself is retained as the oracle: pass
-``batch_engine="reference"`` to run it (the differential test suite and
-the sweep benchmark pin the two engines against each other).
+digests.  The loop itself is kept as the oracle in
+``tests/oracles/batch.py``, which the differential test suite and the
+sweep benchmark pin the compiled engine against.
 
 ::
 
@@ -85,12 +85,6 @@ SWEEP_AXES: Dict[str, str] = {
 TEMPORAL_ONLY_AXES = frozenset(
     {"shift_hours", "defer_fraction", "trace_source", "resolution", "alignment"}
 )
-
-#: Execution engines :class:`BatchAssessmentRunner` accepts. ``columnar``
-#: (the default) compiles grids into vectorised group passes; ``reference``
-#: is the per-spec loop retained as the bit-exact oracle.
-BATCH_ENGINES = ("columnar", "reference")
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -199,11 +193,6 @@ class BatchAssessmentRunner:
         every scenario this runner executes: already-catalogued scenarios
         are served without simulating (their physical configurations are
         not even prepared), fresh ones are recorded.
-    batch_engine:
-        ``"columnar"`` (default) compiles each sweep into vectorised
-        per-group kernel passes; ``"reference"`` runs today's per-spec
-        loop.  The two are bit-identical — the reference engine is the
-        oracle the compiled engine is pinned against.
     """
 
     def __init__(
@@ -215,20 +204,14 @@ class BatchAssessmentRunner:
         substrate_cache_dir=None,
         jobs: Optional[int] = None,
         catalog=None,
-        batch_engine: str = "columnar",
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if batch_engine not in BATCH_ENGINES:
-            raise ValueError(
-                f"unknown batch_engine {batch_engine!r}; expected one of "
-                f"{', '.join(BATCH_ENGINES)}")
         self._base_spec = base_spec or default_spec()
         self._substrates = resolve_substrates(substrates, substrate_cache_dir,
                                               jobs)
         self._max_workers = max_workers
         self._recorder = _coerce_catalog(catalog)
-        self._batch_engine = batch_engine
 
     @property
     def base_spec(self) -> AssessmentSpec:
@@ -237,10 +220,6 @@ class BatchAssessmentRunner:
     @property
     def substrates(self) -> SubstrateCache:
         return self._substrates
-
-    @property
-    def batch_engine(self) -> str:
-        return self._batch_engine
 
     # -- building the scenario list -----------------------------------------------
 
@@ -319,7 +298,7 @@ class BatchAssessmentRunner:
         Shares substrates exactly like :meth:`run_specs` — the expensive
         simulation happens once per distinct physical configuration, and
         every temporal scenario (shift, deferral, grid, resolution) is a
-        cheap re-integration over the cached traces.  The columnar engine
+        cheap re-integration over the cached traces.  The columnar kernel
         additionally aligns traces once per group and integrates each
         distinct (shift, defer, PUE) scenario once.
         """
@@ -370,14 +349,8 @@ class BatchAssessmentRunner:
     def _evaluate_assessments(
         self, specs: List[AssessmentSpec]
     ) -> List[AssessmentResult]:
-        """Evaluate distinct specs in order under the configured engine."""
+        """Evaluate distinct specs in order, one kernel pass per group."""
         self._prepare_snapshots(specs, kind="assess")
-        if self._batch_engine == "reference":
-            return [
-                Assessment(spec, substrates=self._substrates,
-                           catalog=self._recorder).run()
-                for spec in specs
-            ]
         plan = compile_sweep(specs, recorder=self._recorder, kind="assess")
         results: List[Optional[AssessmentResult]] = [None] * len(specs)
         for group in plan.groups:
@@ -398,16 +371,10 @@ class BatchAssessmentRunner:
         return results
 
     def _evaluate_temporals(self, specs: List[AssessmentSpec]) -> List:
-        """Evaluate distinct temporal specs under the configured engine."""
+        """Evaluate distinct temporal specs, one kernel pass per group."""
         from repro.api.temporal import TemporalAssessment
 
         self._prepare_snapshots(specs, kind="temporal")
-        if self._batch_engine == "reference":
-            return [
-                TemporalAssessment(spec, substrates=self._substrates,
-                                   catalog=self._recorder).run()
-                for spec in specs
-            ]
         plan = compile_sweep(specs, recorder=self._recorder, kind="temporal",
                              group_key=temporal_group_key)
         results: List[Optional[object]] = [None] * len(specs)
@@ -447,19 +414,14 @@ class BatchAssessmentRunner:
 
         Because every member shares the base spec's physical
         configuration, the whole region × placement grid costs **one**
-        simulation: the columnar engine additionally evaluates the K
-        member assessments once (load shares don't change a member's
-        carbon) and reuses them across all L splits, where the reference
-        engine pays K·L member assessments.  Returns the ordered
-        :class:`~repro.portfolio.result.PortfolioBatchResult`; its
+        simulation, and the K member assessments are evaluated once (load
+        shares don't change a member's carbon) and reused across all L
+        splits instead of paying K·L member assessments.  Returns the
+        ordered :class:`~repro.portfolio.result.PortfolioBatchResult`; its
         :meth:`~repro.portfolio.result.PortfolioBatchResult.best` scenario
         is the split whose placed carbon is lowest.
         """
-        from repro.portfolio import (
-            PortfolioBatchResult,
-            PortfolioRunner,
-            PortfolioSpec,
-        )
+        from repro.portfolio import PortfolioBatchResult, PortfolioSpec
 
         regions = list(region)
         if not regions:
@@ -474,13 +436,6 @@ class BatchAssessmentRunner:
                 name=f"{name}-{index}" if len(splits) > 1 else name)
             for index, shares in enumerate(splits)
         ]
-        if self._batch_engine == "reference":
-            results = [
-                PortfolioRunner(spec, substrates=self._substrates,
-                                catalog=self._recorder).run()
-                for spec in portfolio_specs
-            ]
-            return PortfolioBatchResult(results=tuple(results))
         # Member evaluations are shared by every split of this call (load
         # shares don't change a member's carbon), memoised lazily so a
         # fully catalog-served sweep still simulates nothing.
@@ -611,7 +566,6 @@ __all__ = [
     "BatchAssessmentRunner",
     "BatchResult",
     "TemporalBatchResult",
-    "BATCH_ENGINES",
     "SWEEP_AXES",
     "TEMPORAL_ONLY_AXES",
 ]

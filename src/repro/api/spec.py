@@ -113,19 +113,14 @@ class AssessmentSpec:
         deferred into below-median intervals, in [0, 1).
     engine:
         Simulation substrate engine: ``"columnar"`` (default, the
-        vectorised in-memory path), ``"oracle"`` (the per-placement
-        reference path) or ``"sharded"`` (the out-of-core path streaming
-        node-axis shards from disk, for fleets whose dense matrix does not
-        fit in RAM).
+        vectorised in-memory path) or ``"sharded"`` (the out-of-core path
+        streaming node-axis shards from disk, for fleets whose dense
+        matrix does not fit in RAM).
     shard_nodes / shard_dtype:
         Sharded-engine tuning: nodes per shard file, and the on-disk
         storage dtype (``"float32"`` halves the footprint; reductions
-        still accumulate in float64).  Ignored by the dense engines.
-    scheduler_engine:
-        Placement-loop implementation: ``"indexed"`` (default, sublinear
-        index structures) or ``"reference"`` (the seed event loop kept as
-        the oracle).  The two produce bit-identical placements; the knob
-        exists for cross-validation and benchmarking.
+        still accumulate in float64).  Only the sharded engine accepts
+        non-default values.
     """
 
     inventory: str = "iris"
@@ -148,7 +143,6 @@ class AssessmentSpec:
     engine: str = "columnar"
     shard_nodes: int = 4096
     shard_dtype: str = "float64"
-    scheduler_engine: str = "indexed"
 
     def __post_init__(self):
         if not self.inventory:
@@ -201,13 +195,14 @@ class AssessmentSpec:
             raise ValueError(
                 f"shard_dtype must be one of {', '.join(SHARD_DTYPES)}, "
                 f"got {self.shard_dtype!r}")
-        from repro.workload.scheduler import SCHEDULER_ENGINES
-
-        if self.scheduler_engine not in SCHEDULER_ENGINES:
+        if self.engine != "sharded" and (self.shard_nodes != 4096
+                                         or self.shard_dtype != "float64"):
+            # physical_key() ignores the shard fields off the sharded
+            # engine but to_dict() keeps them, so accepting them would
+            # record one substrate under two catalog addresses.
             raise ValueError(
-                f"scheduler_engine must be one of "
-                f"{', '.join(SCHEDULER_ENGINES)}, "
-                f"got {self.scheduler_engine!r}")
+                "shard_nodes and shard_dtype only apply to engine "
+                f"'sharded', got engine {self.engine!r}")
 
     # -- derived views -----------------------------------------------------------
 
@@ -219,10 +214,10 @@ class AssessmentSpec:
 
         The default (columnar) engine keeps the historical five-field key
         byte-for-byte — the on-disk cache digests of every existing spec
-        are unchanged.  A non-default engine extends the key, because
-        engines differ in floating-point summation order (and the sharded
-        engine additionally in its shard geometry / storage dtype), so
-        their substrates must not be served interchangeably.
+        are unchanged.  The sharded engine extends the key with its shard
+        geometry and storage dtype, because its sums differ from the dense
+        engine's in floating-point order, so the two substrates must not
+        be served interchangeably.
         """
         key: Tuple[Any, ...] = (
             self.inventory,
@@ -231,18 +226,8 @@ class AssessmentSpec:
             self.trace_step_s,
             self.campaign_seed,
         )
-        if self.engine != "columnar":
-            key += ("engine", self.engine)
-            if self.engine == "sharded":
-                key += (self.shard_nodes, self.shard_dtype)
-        if self.scheduler_engine != "indexed":
-            # The scheduler engines are bit-identical by contract (pinned
-            # by the property suite and benchmarks), but a cached
-            # substrate still records which loop produced it: a
-            # reference-engine run must never silently serve an
-            # indexed-built snapshot, or the cross-validation the knob
-            # exists for would be vacuous.
-            key += ("scheduler_engine", self.scheduler_engine)
+        if self.engine == "sharded":
+            key += ("engine", self.engine, self.shard_nodes, self.shard_dtype)
         return key
 
     def replace(self, **changes: Any) -> "AssessmentSpec":
@@ -263,15 +248,32 @@ class AssessmentSpec:
         data = dataclasses.asdict(self)
         for field, default in (("engine", "columnar"),
                                ("shard_nodes", 4096),
-                               ("shard_dtype", "float64"),
-                               ("scheduler_engine", "indexed")):
+                               ("shard_dtype", "float64")):
             if data[field] == default:
                 del data[field]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AssessmentSpec":
-        """Build a spec from a dictionary, rejecting unknown keys loudly."""
+        """Build a spec from a dictionary, rejecting unknown keys loudly.
+
+        Documents written before the reference implementations left the
+        spec may still carry ``scheduler_engine``: its old default
+        (``"indexed"``) is accepted and dropped, while a removed
+        implementation (``scheduler_engine: "reference"``,
+        ``engine: "oracle"``) is rejected by name.
+        """
+        data = dict(data)
+        scheduler_engine = data.pop("scheduler_engine", "indexed")
+        if scheduler_engine != "indexed":
+            raise ValueError(
+                f"scheduler_engine {scheduler_engine!r} was removed: the "
+                "indexed scheduler is the only one; drop the field")
+        if data.get("engine") == "oracle":
+            raise ValueError(
+                "engine 'oracle' was removed: it computed the same "
+                "snapshot as 'columnar'; use engine 'columnar' or drop "
+                "the field")
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -298,7 +300,7 @@ def default_spec(node_scale: float = 1.0, **overrides: Any) -> AssessmentSpec:
     """The spec reproducing the paper's snapshot at the given fleet scale.
 
     Every field can be overridden by keyword; the defaults match the
-    historical ``default_iris_snapshot_config()`` +
+    historical ``build_iris_snapshot_config()`` +
     ``evaluate_model(175.0, 1.3)`` pipeline exactly.
     """
     return AssessmentSpec(node_scale=node_scale, **overrides)

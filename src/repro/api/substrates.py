@@ -236,11 +236,8 @@ class SubstrateCache:
                     return cached
             config = factory(spec)
             engine_kwargs: Dict[str, Any] = {}
-            if spec.engine != "columnar":
-                engine_kwargs["engine"] = spec.engine
-            if spec.scheduler_engine != "indexed":
-                engine_kwargs["scheduler_engine"] = spec.scheduler_engine
             if spec.engine == "sharded":
+                engine_kwargs["engine"] = spec.engine
                 engine_kwargs["shard_nodes"] = spec.shard_nodes
                 engine_kwargs["shard_dtype"] = spec.shard_dtype
                 if digest is not None:

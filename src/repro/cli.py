@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--jobs", type=int, default=None,
                         help="simulate this many sites concurrently "
                              "(default: 1; 0 = one thread per site)")
-    assess.add_argument("--engine", choices=("columnar", "oracle", "sharded"),
+    assess.add_argument("--engine", choices=("columnar", "sharded"),
                         default=None,
                         help="simulation substrate engine (default: columnar; "
                              "'sharded' streams node-axis shards from disk so "
@@ -171,11 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="on-disk shard dtype for --engine sharded "
                              "(float32 halves the footprint; reductions still "
                              "accumulate in float64)")
-    assess.add_argument("--scheduler-engine", choices=("indexed", "reference"),
-                        default=None,
-                        help="placement-loop implementation (default: indexed; "
-                             "'reference' runs the seed event loop — "
-                             "bit-identical placements, wall-clock only)")
     assess.add_argument("--timings", action="store_true",
                         help="report per-site simulation phase timings "
                              "(workload/schedule/trace/power wall seconds; "
@@ -188,12 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "embodied_estimator); runs the whole cartesian "
                              "grid through the batch runner and emits one "
                              "summary row per scenario")
-    assess.add_argument("--batch-engine", choices=("columnar", "reference"),
-                        default=None,
-                        help="sweep execution engine (default: columnar — one "
-                             "vectorized pass per physical group; 'reference' "
-                             "runs the per-spec oracle loop, bit-identical; "
-                             "requires --sweep)")
     _add_catalog_arguments(assess)
 
     temporal = subparsers.add_parser(
@@ -514,32 +503,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _engine_overrides(args: argparse.Namespace, spec: AssessmentSpec) -> dict:
-    """The --engine/--shard-nodes/--dtype overrides of the assess command.
-
-    The shard knobs only mean anything on the sharded engine, so passing
-    them while the *effective* engine (flag, else spec) is dense is a
-    usage error, not a silent no-op.
-    """
-    overrides = {}
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    engine = overrides.get("engine", spec.engine)
-    if args.shard_nodes is not None:
-        if engine != "sharded":
-            raise _UsageError("--shard-nodes only applies to --engine sharded")
-        if args.shard_nodes < 1:
-            raise _UsageError("--shard-nodes must be at least 1")
-        overrides["shard_nodes"] = args.shard_nodes
-    if args.dtype is not None:
-        if engine != "sharded":
-            raise _UsageError("--dtype only applies to --engine sharded")
-        overrides["shard_dtype"] = args.dtype
-    if args.scheduler_engine is not None:
-        overrides["scheduler_engine"] = args.scheduler_engine
-    return overrides
-
-
 def _parse_sweep_axes(entries: Sequence[str]) -> dict:
     """Parse repeatable ``--sweep AXIS=V1,V2,...`` flags into sweep axes.
 
@@ -575,9 +538,8 @@ def _run_sweep(args: argparse.Namespace, spec: AssessmentSpec,
     """The ``assess --sweep`` mode: a whole grid, one summary row per point."""
     from repro.api import BatchAssessmentRunner
 
-    runner = BatchAssessmentRunner(
-        spec, substrates=substrates, catalog=recorder,
-        batch_engine=args.batch_engine or "columnar")
+    runner = BatchAssessmentRunner(spec, substrates=substrates,
+                                   catalog=recorder)
     batch = runner.sweep(**axes)
     rows = batch.as_rows()
     if args.format == "table":
@@ -618,8 +580,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
             raise _UsageError(
                 "--timings is not available with --format csv "
                 "(use table or json)")
-        if args.batch_engine is not None and not args.sweep:
-            raise _UsageError("--batch-engine only applies with --sweep")
         if args.sweep:
             if args.timings:
                 raise _UsageError(
@@ -651,11 +611,13 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         overrides["per_server_kgco2"] = args.per_server_kg
     if args.amortization is not None:
         overrides["amortization"] = args.amortization
-    try:
-        overrides.update(_engine_overrides(args, spec))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # The spec rejects shard knobs off the sharded engine.
+    if args.engine is not None:
+        overrides["engine"] = args.engine
+    if args.shard_nodes is not None:
+        overrides["shard_nodes"] = args.shard_nodes
+    if args.dtype is not None:
+        overrides["shard_dtype"] = args.dtype
     try:
         spec = spec.replace(**overrides) if overrides else spec
         if sweep_axes is not None:

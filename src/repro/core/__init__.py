@@ -49,7 +49,7 @@ from repro.core.attribution import (
     JobCarbonAttributor,
     JobFootprint,
 )
-from repro.core.uncertainty import MonteCarloCarbonModel, UncertainInput, UncertaintyResult
+from repro.core.uncertainty import UncertainInput, UncertaintyResult
 
 __all__ = [
     "ActiveCarbonResult",
@@ -75,7 +75,6 @@ __all__ = [
     "AttributionResult",
     "JobCarbonAttributor",
     "JobFootprint",
-    "MonteCarloCarbonModel",
     "UncertainInput",
     "UncertaintyResult",
 ]

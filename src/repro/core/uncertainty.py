@@ -1,18 +1,15 @@
-"""Deprecated closed-form Monte-Carlo shim over :mod:`repro.uncertainty`.
+"""The paper's closed-form Monte-Carlo envelope over equation 1.
 
-Historically this module owned a standalone Monte-Carlo loop over four
-hard-coded scalars.  Uncertainty is now a first-class subsystem —
-distribution-aware specs (:class:`~repro.uncertainty.spec.UncertainSpec`),
-a vectorized :class:`~repro.uncertainty.ensemble.EnsembleRunner` on the
-columnar substrate, and quantile-native results — and
-:class:`MonteCarloCarbonModel` remains only as a thin compatibility shim:
-its distributions come from the registry
-(:mod:`repro.uncertainty.distributions`), its samples from the shared
-ensemble sampler (same generator discipline, same draw order), and its
-outputs are pinned bit-equivalent to the historical implementation at the
-paper's default inputs.
+:class:`UncertainInput` describes the paper's input envelope (intensity,
+PUE, per-server embodied carbon, lifetime) as registry distributions
+(:mod:`repro.uncertainty.distributions`); :func:`closed_form_draws`
+samples the closed-form carbon arithmetic from it with the historical
+draw order, and :func:`summarise_closed_form` reduces the draws to the
+historical percentile summary.  ``repro uncertainty``'s paper mode runs
+on these.
 
-New code should use::
+Uncertainty over a simulated snapshot is the job of the distribution-aware
+:class:`~repro.uncertainty.ensemble.EnsembleRunner`::
 
     from repro.uncertainty import EnsembleRunner
 
@@ -21,9 +18,8 @@ New code should use::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -116,8 +112,8 @@ def closed_form_draws(
     generator in the historical order (intensity, PUE, embodied, lifetime)
     — the generator discipline of :mod:`repro.uncertainty.sampling`, but
     the legacy stream — so the output is bit-identical to the
-    pre-subsystem Monte Carlo for the same seed.  Used by the shim below
-    and by the CLI's paper mode.
+    pre-subsystem Monte Carlo for the same seed.  Used by the CLI's paper
+    mode.
     """
     from repro.seeding import as_generator
 
@@ -162,71 +158,9 @@ def summarise_closed_form(draws: Dict[str, np.ndarray]) -> UncertaintyResult:
     )
 
 
-class MonteCarloCarbonModel:
-    """Deprecated: use :class:`repro.uncertainty.EnsembleRunner`.
-
-    Kept as a compatibility shim over the new engine's distributions and
-    sampler; quantiles for a given seed are bit-equivalent to the
-    historical implementation (pinned by the deprecation test).
-
-    Parameters
-    ----------
-    it_energy_kwh:
-        Measured IT energy for the period (the Table 2 total).
-    server_count:
-        Number of servers carrying embodied carbon.
-    period_days:
-        Length of the evaluation period in days.
-    inputs:
-        The input distributions (paper defaults when omitted).
-    """
-
-    def __init__(
-        self,
-        it_energy_kwh: float,
-        server_count: int,
-        period_days: float = 1.0,
-        inputs: Optional[UncertainInput] = None,
-    ):
-        warnings.warn(
-            "MonteCarloCarbonModel is deprecated; use "
-            "repro.uncertainty.EnsembleRunner with an UncertainSpec "
-            "(distribution-aware spec fields, vectorized on the simulated "
-            "substrate)", DeprecationWarning, stacklevel=2)
-        if it_energy_kwh < 0:
-            raise ValueError("it_energy_kwh must be non-negative")
-        if server_count <= 0:
-            raise ValueError("server_count must be positive")
-        if period_days <= 0:
-            raise ValueError("period_days must be positive")
-        self._it_energy_kwh = float(it_energy_kwh)
-        self._server_count = int(server_count)
-        self._period_days = float(period_days)
-        self._inputs = inputs or UncertainInput()
-
-    @property
-    def inputs(self) -> UncertainInput:
-        return self._inputs
-
-    # -- sampling --------------------------------------------------------------------
-
-    def sample(self, n_samples: int = 10_000, seed: int = 0) -> Dict[str, np.ndarray]:
-        """Draw ``n_samples`` joint samples of (active, embodied, total) in kg."""
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        return closed_form_draws(
-            self._inputs, self._it_energy_kwh, self._server_count,
-            self._period_days, n_samples, seed)
-
-    def run(self, n_samples: int = 10_000, seed: int = 0) -> UncertaintyResult:
-        """Run the Monte-Carlo analysis and summarise the distribution."""
-        return summarise_closed_form(self.sample(n_samples=n_samples, seed=seed))
-
-
 __all__ = [
     "UncertainInput",
     "UncertaintyResult",
-    "MonteCarloCarbonModel",
     "closed_form_draws",
     "summarise_closed_form",
 ]

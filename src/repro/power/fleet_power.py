@@ -22,9 +22,8 @@ GPU         ``tdp * 0.1``                  ``tdp * 0.9``
 
 ``rapl = cpu + dram``, ``dc`` adds storage/platform/GPU, and ``wall``
 divides the dc coefficients by the PSU efficiency.  The evaluation agrees
-with the per-node oracle
-(:meth:`~repro.power.traces.PowerBreakdownTrace.from_utilization_loop`) to
-within a few float64 ulp (the factored coefficients round differently at
+with the per-node oracle (``tests/oracles/power.py``) to within a few
+float64 ulp (the factored coefficients round differently at
 the ~1e-16 relative level); the fleet-engine benchmark pins the agreement
 at ≤1e-9 relative.
 

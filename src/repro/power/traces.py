@@ -23,11 +23,11 @@ coefficients — ``sum_i c_i (a_i + b_i u_i(t))`` is one vector contraction
 against the utilisation matrix — and a full per-scope power matrix is only
 materialised if :meth:`scope_matrix` is explicitly asked for it.
 
-**materialised** (the public constructor and
-:meth:`from_utilization_loop`, the per-node oracle) — three explicit
-power matrices, validated for shape, sign and scope ordering.  The oracle
-path cross-validates the lazy engine in the fleet-engine benchmark and
-equivalence tests.
+**materialised** (the public constructor) — three explicit power
+matrices, validated for shape, sign and scope ordering.  The per-node
+conversion that builds one (kept as the oracle in
+``tests/oracles/power.py``) cross-validates the lazy engine in the
+fleet-engine benchmark and equivalence tests.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class PowerBreakdownTrace:
         are computed once and reductions (site series, energies) evaluate
         straight off the utilisation matrix; per-scope power matrices are
         materialised only on explicit :meth:`scope_matrix` access.  Agrees
-        with the per-node oracle (:meth:`from_utilization_loop`) to within
-        a few float64 ulp.
+        with a per-node evaluation of each model to within a few float64
+        ulp.
         """
         if len(models) != trace.node_count:
             raise ValueError(
@@ -119,34 +119,6 @@ class PowerBreakdownTrace:
         obj._model = FleetPowerModel(models)
         obj._series_cache = {}
         return obj
-
-    @classmethod
-    def from_utilization_loop(
-        cls,
-        trace: UtilizationTrace,
-        models: Sequence[NodePowerModel],
-    ) -> "PowerBreakdownTrace":
-        """The seed per-node conversion, retained as the oracle.
-
-        Evaluates each node's power model against its own matrix row, one
-        node at a time, materialising all three scope matrices up front;
-        used by the fleet-engine benchmark and the equivalence tests to
-        cross-validate :meth:`from_utilization`.
-        """
-        if len(models) != trace.node_count:
-            raise ValueError(
-                f"need one power model per node: {trace.node_count} nodes, "
-                f"{len(models)} models"
-            )
-        util = trace.matrix
-        rapl = np.empty_like(util)
-        dc = np.empty_like(util)
-        wall = np.empty_like(util)
-        for row, model in enumerate(models):
-            rapl[row] = model.rapl_visible_power_w(util[row])
-            dc[row] = model.dc_power_w(util[row])
-            wall[row] = model.wall_power_w(util[row])
-        return cls(trace.start, trace.step, trace.node_ids, rapl, dc, wall)
 
     # -- accessors -------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from repro.snapshot.config import (
     SiteSnapshotConfig,
     SnapshotConfig,
     build_iris_snapshot_config,
-    default_iris_snapshot_config,
 )
 from repro.snapshot.experiment import (
     SiteSnapshotResult,
@@ -30,7 +29,6 @@ __all__ = [
     "SiteSnapshotConfig",
     "SnapshotConfig",
     "build_iris_snapshot_config",
-    "default_iris_snapshot_config",
     "SnapshotExperiment",
     "SiteSnapshotResult",
     "SnapshotResult",

@@ -21,7 +21,6 @@ Two calibration knobs deserve a note:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -242,39 +241,10 @@ def build_iris_snapshot_config(
     )
 
 
-def default_iris_snapshot_config(
-    duration_hours: float = IRIS_SNAPSHOT_HOURS,
-    trace_step_s: float = 60.0,
-    campaign_seed: int = 1234,
-    lifetime_years: float = 5.0,
-    node_scale: float = 1.0,
-) -> SnapshotConfig:
-    """Deprecated alias of :func:`build_iris_snapshot_config`.
-
-    Kept so pre-``repro.api`` code keeps working unchanged; new code should
-    either call :func:`build_iris_snapshot_config` or, better, go through
-    ``repro.api.Assessment`` / ``repro.api.default_spec``.
-    """
-    warnings.warn(
-        "default_iris_snapshot_config() is deprecated; use "
-        "build_iris_snapshot_config() or the repro.api.Assessment pipeline",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_iris_snapshot_config(
-        duration_hours=duration_hours,
-        trace_step_s=trace_step_s,
-        campaign_seed=campaign_seed,
-        lifetime_years=lifetime_years,
-        node_scale=node_scale,
-    )
-
-
 __all__ = [
     "SiteSnapshotConfig",
     "SnapshotConfig",
     "build_iris_snapshot_config",
-    "default_iris_snapshot_config",
     "IRIS_SITE_COMPUTE_MODEL",
     "IRIS_SITE_IPMI_COVERAGE",
 ]

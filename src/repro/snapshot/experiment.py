@@ -23,7 +23,7 @@ import os
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -55,17 +55,12 @@ from repro.workload.fleet import (
     ShardedFleetUtilization,
 )
 from repro.workload.jobs import JobGenerator, WorkloadProfile
-from repro.workload.scheduler import (
-    ENGINES,
-    SCHEDULER_ENGINES,
-    BackfillScheduler,
-    SchedulerStatistics,
-)
+from repro.workload.scheduler import BackfillScheduler, SchedulerStatistics
 
-#: Engines the experiment accepts: the scheduler-level engines plus the
-#: out-of-core ``sharded`` substrate (which never materialises the dense
-#: fleet matrix and runs sites on a process pool when ``max_workers > 1``).
-EXPERIMENT_ENGINES = ENGINES + ("sharded",)
+#: Substrates the experiment accepts: the dense in-memory ``columnar``
+#: default and the out-of-core ``sharded`` substrate, which never
+#: materialises the dense fleet matrix.
+EXPERIMENT_ENGINES = ("columnar", "sharded")
 
 
 @dataclass(frozen=True)
@@ -326,34 +321,21 @@ class SnapshotExperiment:
         ``"columnar"`` (default) runs the vectorised array-first substrate
         (:class:`~repro.workload.fleet.FleetUtilization` +
         :meth:`~repro.power.traces.PowerBreakdownTrace.from_utilization`);
-        ``"oracle"`` runs the retained per-placement/per-node reference
-        path, kept for cross-validation and benchmarking; ``"sharded"``
-        runs the out-of-core substrate
+        ``"sharded"`` runs the out-of-core substrate
         (:class:`~repro.workload.fleet.ShardedFleetUtilization` +
         :class:`~repro.power.fleet_power.ShardedPowerBreakdownTrace`),
         which streams node-axis shards from disk and never holds the dense
         fleet matrix, so full-scale fleets run in bounded memory.
-    scheduler_engine:
-        Which placement loop :class:`~repro.workload.scheduler.BackfillScheduler`
-        runs: ``"indexed"`` (default, sublinear data structures) or
-        ``"reference"`` (the seed event loop).  Bit-identical outputs;
-        wall-clock only.
     max_workers:
-        Number of sites simulated concurrently by :meth:`run`.  1 runs
-        sequentially, ``None`` uses one worker per site capped at the CPU
-        count.  The dense engines use threads (the hot paths are numpy);
-        the sharded engine uses a process pool only when paired with the
-        ``reference`` scheduler loop, whose pure-Python cost dominates the
-        site and cannot be overlapped by threads — with the ``indexed``
-        scheduler the loop is no longer the bottleneck and threads overlap
-        the shard-streaming array work without process start-up or
-        pickling costs.
+        Number of sites simulated concurrently by :meth:`run` on a thread
+        pool.  1 runs sequentially, ``None`` uses one worker per site
+        capped at the CPU count.
     shard_nodes / shard_dtype / shard_layout:
         Sharded-engine tuning: nodes per shard file, on-disk storage dtype
         (``float32`` halves the footprint; reductions still accumulate in
         float64) and shard orientation (``interval-major`` stores the
         transpose so the per-sample contraction reads contiguous memory).
-        Ignored by the dense engines.
+        Ignored by the dense engine.
     shard_dir / shard_key:
         Where the sharded engine keeps its per-site shard directories, and
         the content key recorded in (and checked against) each directory's
@@ -368,7 +350,6 @@ class SnapshotExperiment:
         config: Optional[SnapshotConfig] = None,
         catalog: Optional[HardwareCatalog] = None,
         engine: str = "columnar",
-        scheduler_engine: str = "indexed",
         max_workers: Optional[int] = 1,
         shard_nodes: int = 4096,
         shard_dtype: str = "float64",
@@ -380,10 +361,6 @@ class SnapshotExperiment:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of "
                 f"{', '.join(EXPERIMENT_ENGINES)}")
-        if scheduler_engine not in SCHEDULER_ENGINES:
-            raise ValueError(
-                f"unknown scheduler engine {scheduler_engine!r}; expected "
-                f"one of {', '.join(SCHEDULER_ENGINES)}")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1 (or None)")
         if shard_nodes < 1:
@@ -399,7 +376,6 @@ class SnapshotExperiment:
         self._config = config or build_iris_snapshot_config()
         self._catalog = catalog or default_catalog()
         self._engine = engine
-        self._scheduler_engine = scheduler_engine
         self._max_workers = max_workers
         self._shard_nodes = shard_nodes
         self._shard_dtype = shard_dtype
@@ -418,10 +394,6 @@ class SnapshotExperiment:
     @property
     def engine(self) -> str:
         return self._engine
-
-    @property
-    def scheduler_engine(self) -> str:
-        return self._scheduler_engine
 
     # -- per-site pieces -----------------------------------------------------------------
 
@@ -525,14 +497,12 @@ class SnapshotExperiment:
             timings["workload_s"] = time.perf_counter() - t_phase
             scheduler = BackfillScheduler(cluster)
             t_phase = time.perf_counter()
-            placements, stats = scheduler.run(
-                jobs, duration_s, scheduler_engine=self._scheduler_engine)
+            placements, stats = scheduler.run(jobs, duration_s)
             timings["schedule_s"] = time.perf_counter() - t_phase
             if not sharded:
                 t_phase = time.perf_counter()
                 trace = scheduler.build_trace(placements, duration_s,
-                                              step_s=config.trace_step_s,
-                                              engine=self._engine)
+                                              step_s=config.trace_step_s)
                 timings["trace_s"] = time.perf_counter() - t_phase
         else:
             # A fully idle site: no jobs, flat zero utilisation.
@@ -568,12 +538,9 @@ class SnapshotExperiment:
                 timings["trace_s"] = time.perf_counter() - t_phase
                 t_phase = time.perf_counter()
                 power = ShardedPowerBreakdownTrace(trace, models)
-            elif self._engine == "columnar":
-                t_phase = time.perf_counter()
-                power = PowerBreakdownTrace.from_utilization(trace, models)
             else:
                 t_phase = time.perf_counter()
-                power = PowerBreakdownTrace.from_utilization_loop(trace, models)
+                power = PowerBreakdownTrace.from_utilization(trace, models)
             fabric = NetworkFabric.sized_for_nodes(site.node_count)
             campaign = MeasurementCampaign(self._instruments(site),
                                            seed=config.campaign_seed)
@@ -617,13 +584,9 @@ class SnapshotExperiment:
 
         ``max_workers`` overrides the instance default for this run.  Sites
         are independent simulations, so with more than one worker they run
-        concurrently — on a thread pool for the dense engines (the hot
-        paths are numpy and release the GIL), and for the sharded engine
-        too now that the default ``indexed`` scheduler loop is no longer
-        the dominant per-site cost; only ``sharded`` paired with the
-        ``reference`` scheduler keeps the *process* pool (there the
-        pure-Python seed loop dominates and threads cannot overlap it).
-        Result order always matches the configuration order, and per-site
+        concurrently on a thread pool (the hot paths are numpy and release
+        the GIL, for the dense and the sharded substrate alike).  Result
+        order always matches the configuration order, and per-site
         determinism is unaffected (every site derives its own seeds).
         """
         if max_workers is None:
@@ -635,11 +598,7 @@ class SnapshotExperiment:
             raise ValueError("max_workers must be at least 1 (or None)")
         workers = min(max_workers, len(sites))
         if workers > 1:
-            pool_cls = (ProcessPoolExecutor
-                        if (self._engine == "sharded"
-                            and self._scheduler_engine == "reference")
-                        else ThreadPoolExecutor)
-            with pool_cls(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(self.run_site, sites))
         else:
             results = [self.run_site(site) for site in sites]

@@ -9,8 +9,7 @@ hour by hour — so this package provides the time-resolved treatment:
   carbon-intensity series onto one sampling grid under an explicit
   alignment policy (``strict``, ``resample`` or ``intersect``);
 * :mod:`repro.temporal.integrate` integrates energy × intensity per
-  interval with a vectorised hot path (plus the naive per-sample loop it
-  replaced, kept as the cross-validation oracle);
+  interval with a vectorised hot path;
 * :class:`~repro.temporal.profile.TemporalEmissionsProfile` carries the
   per-interval and cumulative results;
 * :mod:`repro.temporal.scenarios` implements the carbon-aware operation
@@ -26,10 +25,7 @@ from repro.temporal.align import (
     ALIGNMENT_POLICIES,
     align_power_and_intensity,
 )
-from repro.temporal.integrate import (
-    integrate_power_intensity,
-    integrate_power_intensity_naive,
-)
+from repro.temporal.integrate import integrate_power_intensity
 from repro.temporal.profile import TemporalEmissionsProfile
 from repro.temporal.scenarios import defer_load, time_shift
 
@@ -37,7 +33,6 @@ __all__ = [
     "ALIGNMENT_POLICIES",
     "align_power_and_intensity",
     "integrate_power_intensity",
-    "integrate_power_intensity_naive",
     "TemporalEmissionsProfile",
     "defer_load",
     "time_shift",

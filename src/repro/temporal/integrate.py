@@ -6,8 +6,8 @@ the cumulative sums.  At one year of hourly samples (8 760 intervals) — or
 a month of minute samples (43 200) — a per-sample Python loop dominates a
 sweep's runtime, so the production path is pure bulk numpy.
 
-The loop it replaced, :func:`integrate_power_intensity_naive`, is kept on
-purpose: it is the readable reference semantics, the oracle the unit tests
+The per-sample loop it replaced is kept in ``tests/oracles/temporal.py``:
+it is the readable reference semantics, the oracle the unit tests
 cross-validate against, and the baseline the benchmark
 (``benchmarks/test_bench_temporal.py``) measures the required ≥5x speedup
 over.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.temporal.profile import TemporalEmissionsProfile
 from repro.timeseries.series import TimeSeries, TimeSeriesError
-from repro.units.constants import JOULES_PER_KWH
 
 
 def _check_shared_grid(power_w: TimeSeries, intensity: TimeSeries) -> None:
@@ -71,40 +70,4 @@ def integrate_power_intensity(
     )
 
 
-def integrate_power_intensity_naive(
-    power_w: TimeSeries,
-    intensity_g_per_kwh: TimeSeries,
-    *,
-    pue: float = 1.0,
-) -> TemporalEmissionsProfile:
-    """The per-sample loop :func:`integrate_power_intensity` replaced.
-
-    Kept as the reference implementation: same inputs, same outputs, one
-    plain Python iteration per interval.  The unit tests assert the
-    vectorised path matches it exactly and the benchmark asserts the
-    vectorised path beats it by ≥5x at 1-year hourly resolution.
-    """
-    if pue < 1.0:
-        raise ValueError("pue must be at least 1.0")
-    _check_shared_grid(power_w, intensity_g_per_kwh)
-    step = power_w.step
-    facility_w = []
-    energy_kwh = []
-    carbon_kg = []
-    for p, ci in zip(power_w.values.tolist(), intensity_g_per_kwh.values.tolist()):
-        watts = p * pue
-        kwh = watts * step / JOULES_PER_KWH
-        facility_w.append(watts)
-        energy_kwh.append(kwh)
-        carbon_kg.append(kwh * ci / 1000.0)
-    return TemporalEmissionsProfile(
-        start=power_w.start,
-        step=step,
-        power_w=facility_w,
-        intensity_g_per_kwh=intensity_g_per_kwh.values,
-        energy_kwh=energy_kwh,
-        carbon_kg=carbon_kg,
-    )
-
-
-__all__ = ["integrate_power_intensity", "integrate_power_intensity_naive"]
+__all__ = ["integrate_power_intensity"]

@@ -308,8 +308,8 @@ def paper_default_distributions() -> Dict[str, Distribution]:
 
     Triangular intensity and PUE over the Low/Medium/High scenario values,
     uniform per-server embodied carbon over the Table 4 bounds, discrete
-    lifetimes over the 3-7-year sweep — the same envelope the historical
-    :class:`~repro.core.uncertainty.MonteCarloCarbonModel` hard-coded.
+    lifetimes over the 3-7-year sweep — the same envelope as the
+    closed-form :class:`~repro.core.uncertainty.UncertainInput` defaults.
     """
     return {
         "carbon_intensity_g_per_kwh": Triangular(50.0, 175.0, 300.0),

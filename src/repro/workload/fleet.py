@@ -11,7 +11,7 @@ consumer keeps working) with:
   from scheduler :class:`~repro.workload.scheduler.Placement` records with
   interval-overlap math on arrays.  The per-placement Python loop of the
   historical ``BackfillScheduler.build_trace`` survives only as the
-  cross-validation oracle (``build_trace_loop``).
+  cross-validation oracle in ``tests/oracles/scheduler.py``.
 * O(1) node lookup — ``node_series``/``subset`` resolve ids through a dict
   index rather than a linear scan, which matters at full IRIS scale
   (thousands of nodes × thousands of lookups).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,17 +38,6 @@ from repro.workload.scheduling_index import (
     earliest_fit_time,
 )
 from repro.workload.utilization import UtilizationTrace
-
-#: Recognised substrate engines: ``columnar`` is the vectorised default,
-#: ``oracle`` the retained per-placement/per-node reference implementation.
-ENGINES = ("columnar", "oracle")
-
-#: Recognised scheduling-loop engines: ``indexed`` is the default
-#: (segment-tree first fit, tombstoned deque queue, lazy EASY
-#: reservation), ``reference`` the seed event loop retained as the
-#: oracle.  Both produce bit-identical placement sequences.
-SCHEDULER_ENGINES = ("indexed", "reference")
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -116,7 +105,6 @@ class BackfillScheduler:
         self,
         jobs: Sequence[Job],
         duration_s: float,
-        scheduler_engine: str = "indexed",
     ) -> Tuple[List[Placement], SchedulerStatistics]:
         """Schedule ``jobs`` and return placements plus statistics.
 
@@ -125,19 +113,12 @@ class BackfillScheduler:
         ``[0, duration_s)`` reflects the sustained load), but statistics and
         traces only consider the requested window.
 
-        ``scheduler_engine`` selects the loop implementation: ``indexed``
-        (default) resolves first-fit via a segment-tree index, keeps the
+        The loop resolves first-fit via a segment-tree index, keeps the
         pending queue in a tombstoned deque and computes EASY reservations
-        by a lazy early-exit heap walk; ``reference`` is the seed event
-        loop, retained as the oracle.  The two are bit-identical — same
-        placements, same statistics — differing only in wall-clock.
+        by a lazy early-exit heap walk (:meth:`_run_indexed`).
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if scheduler_engine not in SCHEDULER_ENGINES:
-            raise ValueError(
-                f"unknown scheduler engine {scheduler_engine!r}; "
-                f"expected one of {', '.join(SCHEDULER_ENGINES)}")
         cluster = self._cluster
         cluster.reset()
         largest_node_cores = max(node.cores for node in cluster.nodes)
@@ -150,10 +131,7 @@ class BackfillScheduler:
             jobs_submitted=len(pending) + len(unschedulable),
             jobs_unschedulable=len(unschedulable),
         )
-        if scheduler_engine == "indexed":
-            placements, waits, backfilled = self._run_indexed(pending)
-        else:
-            placements, waits, backfilled = self._run_reference(pending)
+        placements, waits, backfilled = self._run_indexed(pending)
         stats.jobs_started = len(placements)
         stats.backfilled_jobs = backfilled
         stats.jobs_completed_in_window = sum(
@@ -170,93 +148,13 @@ class BackfillScheduler:
         )
         return placements, stats
 
-    def _run_reference(
-        self, pending: List[Job],
-    ) -> Tuple[List[Placement], List[float], int]:
-        """The seed event loop, retained as the bit-exactness oracle."""
-        cluster = self._cluster
-        placements: List[Placement] = []
-        # (end_time, node_index, cores) min-heap of running jobs.
-        running: List[Tuple[float, int, int]] = []
-        queue: List[Job] = []
-        now = 0.0
-        submit_index = 0
-        backfilled = 0
-        waits: List[float] = []
-
-        def release_finished(until: float) -> None:
-            nonlocal now
-            while running and running[0][0] <= until:
-                end_time, node_index, cores = heapq.heappop(running)
-                cluster.release(node_index, cores)
-                now = max(now, end_time)
-
-        def try_start(job: Job, at_time: float) -> Optional[Placement]:
-            node_index = cluster.find_node_with_free_cores(job.cores)
-            if node_index is None:
-                return None
-            cluster.allocate(node_index, job.cores)
-            end_time = at_time + job.runtime_s
-            heapq.heappush(running, (end_time, node_index, job.cores))
-            placement = Placement(job=job, node_index=node_index,
-                                  start_time_s=at_time, end_time_s=end_time)
-            placements.append(placement)
-            waits.append(placement.wait_time_s)
-            return placement
-
-        while submit_index < len(pending) or queue:
-            # Admit all jobs submitted up to the current time.
-            while submit_index < len(pending) and pending[submit_index].submit_time_s <= now:
-                queue.append(pending[submit_index])
-                submit_index += 1
-            progressed = False
-            # FCFS: start queue-head jobs while they fit.
-            while queue:
-                release_finished(now)
-                placement = try_start(queue[0], now)
-                if placement is None:
-                    break
-                queue.pop(0)
-                progressed = True
-            # EASY backfill when the head is blocked.
-            if queue:
-                reservation = self._head_reservation(queue[0], running, cluster)
-                candidates = queue[1: 1 + self._backfill_depth]
-                for candidate in list(candidates):
-                    if now + candidate.runtime_s <= reservation:
-                        placement = try_start(candidate, now)
-                        if placement is not None:
-                            queue.remove(candidate)
-                            backfilled += 1
-                            progressed = True
-            if queue or submit_index < len(pending):
-                # Advance time to the next event: a completion or a submission.
-                next_completion = running[0][0] if running else float("inf")
-                next_submission = (
-                    pending[submit_index].submit_time_s
-                    if submit_index < len(pending)
-                    else float("inf")
-                )
-                next_event = min(next_completion, next_submission)
-                if next_event == float("inf"):
-                    break  # pragma: no cover - defensive; cannot happen with valid input
-                if not progressed and next_event <= now:
-                    # Avoid an infinite loop if no event advances time —
-                    # but never jump past a submission arriving inside the
-                    # skipped interval (next_submission > now here, since
-                    # everything up to now was already admitted).
-                    next_event = min(now + 1.0, next_submission)
-                release_finished(next_event)
-                now = max(now, next_event)
-
-        return placements, waits, backfilled
-
     def _run_indexed(
         self, pending: List[Job],
     ) -> Tuple[List[Placement], List[float], int]:
         """The indexed event loop: same decisions, sublinear data structures.
 
-        Every decision point mirrors :meth:`_run_reference` exactly —
+        Every decision point mirrors the seed event loop exactly (kept as
+        the bit-identity oracle in ``tests/oracles/scheduler.py``) —
         first-fit answers come from the cluster's segment-tree index
         instead of an O(N) scan, the pending queue is a tombstoned deque
         instead of a ``pop(0)``/``remove`` list, admission batches over a
@@ -271,7 +169,7 @@ class BackfillScheduler:
         # The cluster is NOT updated per operation — two numpy scalar
         # updates per placement would dominate this loop — its state is
         # written back wholesale after the loop (``sync_free_cores``),
-        # ending bit-identical to the reference's incremental updates.
+        # ending bit-identical to the seed loop's incremental updates.
         free = [node.free_cores for node in cluster.nodes]
         index = cluster.core_index()
         submit_times = np.array([job.submit_time_s for job in pending],
@@ -380,8 +278,8 @@ class BackfillScheduler:
                 if next_event == INFINITY:
                     break  # pragma: no cover - defensive; cannot happen with valid input
                 if not progressed and next_event <= now:
-                    # Same anti-stall clamp as the reference loop: advance,
-                    # but never jump past a pending submission.
+                    # Avoid an infinite loop if no event advances time, but
+                    # never jump past a pending submission.
                     next_event = min(now + 1.0, next_submission)
                 while running and running[0][0] <= next_event:
                     end_time, node_index, cores = heappop(running)
@@ -397,29 +295,6 @@ class BackfillScheduler:
         cluster.sync_free_cores(free)
         return placements, waits, backfilled
 
-    @staticmethod
-    def _head_reservation(
-        head: Job,
-        running: List[Tuple[float, int, int]],
-        cluster: SimulatedCluster,
-    ) -> float:
-        """Earliest time the blocked head job is guaranteed to fit somewhere.
-
-        Starting from each node's currently free cores, walk the running
-        jobs in completion order, accumulating freed cores per node; the
-        reservation is the completion time at which some node first has
-        enough free cores for the head job.  Conservative (ignores future
-        submissions), exactly as EASY does.
-        """
-        freed: Dict[int, int] = {
-            node.index: node.free_cores for node in cluster.nodes
-        }
-        for end_time, node_index, cores in sorted(running):
-            freed[node_index] = freed.get(node_index, 0) + cores
-            if freed[node_index] >= head.cores:
-                return end_time
-        return float("inf")
-
     # -- trace construction --------------------------------------------------------
 
     def build_trace(
@@ -428,103 +303,38 @@ class BackfillScheduler:
         duration_s: float,
         step_s: float = 60.0,
         start_s: float = 0.0,
-        engine: str = "columnar",
     ) -> UtilizationTrace:
         """Convert placements into a per-node utilisation trace.
 
         Each placement contributes ``cores * cpu_intensity / node_cores`` to
         its node's utilisation for every sample interval it overlaps,
-        partial first/last intervals pro-rated.  The default ``columnar``
-        engine does the interval-overlap math on arrays
-        (:meth:`~repro.workload.fleet.FleetUtilization.from_placements`);
-        ``engine="oracle"`` runs the historical per-placement loop, kept for
-        cross-validation and benchmarking.
+        partial first/last intervals pro-rated; the interval-overlap math
+        runs on arrays
+        (:meth:`~repro.workload.fleet.FleetUtilization.from_placements`).
         """
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-        if engine == "columnar":
-            return FleetUtilization.from_placements(
-                placements,
-                [node.node_id for node in self._cluster.nodes],
-                [node.cores for node in self._cluster.nodes],
-                duration_s,
-                step_s=step_s,
-                start_s=start_s,
-            )
-        return self.build_trace_loop(placements, duration_s,
-                                     step_s=step_s, start_s=start_s)
-
-    def build_trace_loop(
-        self,
-        placements: Sequence[Placement],
-        duration_s: float,
-        step_s: float = 60.0,
-        start_s: float = 0.0,
-    ) -> UtilizationTrace:
-        """The seed per-placement trace builder, retained as the oracle.
-
-        Numerically equivalent to the columnar engine (identical up to
-        floating-point summation order); used by the fleet-engine benchmark
-        and equivalence tests to cross-validate the vectorised path.
-        """
-        if step_s <= 0:
-            raise ValueError("step_s must be positive")
-        n_samples = int(round(duration_s / step_s))
-        if n_samples <= 0:
-            raise ValueError("duration_s must cover at least one sample")
-        node_ids = [node.node_id for node in self._cluster.nodes]
-        node_cores = np.array([node.cores for node in self._cluster.nodes], dtype=np.float64)
-        matrix = np.zeros((len(node_ids), n_samples), dtype=np.float64)
-        edges = start_s + step_s * np.arange(n_samples + 1)
-        for placement in placements:
-            t0 = max(placement.start_time_s, start_s)
-            t1 = min(placement.end_time_s, start_s + duration_s)
-            if t1 <= t0:
-                continue
-            first = int((t0 - start_s) // step_s)
-            last = min(int((t1 - start_s) // step_s), n_samples - 1)
-            weight = placement.job.cores * placement.job.cpu_intensity
-            if first == last:
-                fraction = (t1 - t0) / step_s
-                matrix[placement.node_index, first] += weight * fraction
-                continue
-            # First partial interval.
-            matrix[placement.node_index, first] += weight * (edges[first + 1] - t0) / step_s
-            # Full intervals.
-            if last - first > 1:
-                matrix[placement.node_index, first + 1: last] += weight
-            # Last partial interval.
-            matrix[placement.node_index, last] += weight * (t1 - edges[last]) / step_s
-        matrix /= node_cores[:, None]
-        np.clip(matrix, 0.0, 1.0, out=matrix)
-        return UtilizationTrace(start_s, step_s, node_ids, matrix)
+        return FleetUtilization.from_placements(
+            placements,
+            [node.node_id for node in self._cluster.nodes],
+            [node.cores for node in self._cluster.nodes],
+            duration_s,
+            step_s=step_s,
+            start_s=start_s,
+        )
 
     def simulate(
         self,
         jobs: Sequence[Job],
         duration_s: float,
         step_s: float = 60.0,
-        engine: str = "columnar",
-        scheduler_engine: str = "indexed",
     ) -> Tuple[UtilizationTrace, SchedulerStatistics]:
-        """Run the scheduler and return the utilisation trace and statistics.
-
-        ``engine`` selects the trace-construction substrate
-        (:data:`ENGINES`); ``scheduler_engine`` the placement loop
-        (:data:`SCHEDULER_ENGINES`).
-        """
-        placements, stats = self.run(jobs, duration_s,
-                                     scheduler_engine=scheduler_engine)
-        trace = self.build_trace(placements, duration_s, step_s=step_s,
-                                 engine=engine)
+        """Run the scheduler and return the utilisation trace and statistics."""
+        placements, stats = self.run(jobs, duration_s)
+        trace = self.build_trace(placements, duration_s, step_s=step_s)
         return trace, stats
 
 
 __all__ = [
     "BackfillScheduler",
-    "ENGINES",
-    "SCHEDULER_ENGINES",
     "Placement",
     "SchedulerStatistics",
 ]

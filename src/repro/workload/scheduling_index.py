@@ -1,8 +1,8 @@
-"""Index structures backing the ``indexed`` scheduler engine.
+"""Index structures backing the indexed scheduling loop.
 
-The reference scheduling loop (:meth:`~repro.workload.scheduler.BackfillScheduler.run`
-with ``scheduler_engine="reference"``) is dominated by three superlinear
-terms at fleet scale:
+The seed scheduling loop (kept as the oracle in
+``tests/oracles/scheduler.py``) is dominated by three superlinear terms at
+fleet scale:
 
 * every placement attempt scans all N nodes
   (``np.nonzero(free >= cores)[0]``);
@@ -12,7 +12,7 @@ terms at fleet scale:
   fresh N-entry dict to compute the EASY reservation.
 
 This module provides drop-in replacements with the *same decision
-semantics* — the indexed engine must produce bit-identical placement
+semantics* — the indexed loop must produce bit-identical placement
 sequences — but sublinear cost:
 
 * :class:`FreeCoreIndex` — a binary max-tree over per-node free-core
@@ -206,7 +206,7 @@ def earliest_fit_time(
 
     Semantically identical to walking ``sorted(running)`` while
     accumulating freed cores per node on top of the current free counts
-    (the reference :meth:`BackfillScheduler._head_reservation`), but the
+    (the seed loop's reservation, ``tests/oracles/scheduler.py``), but the
     heap is traversed lazily: a frontier of heap positions yields entries
     in exactly sorted order (every unvisited entry has an ancestor in the
     frontier, and heap ancestors never compare greater), so the walk stops

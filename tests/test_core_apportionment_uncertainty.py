@@ -1,14 +1,14 @@
-"""Tests for shared-resource apportionment and the Monte-Carlo uncertainty shim."""
+"""Tests for shared-resource apportionment and the closed-form Monte Carlo."""
 
 import numpy as np
 import pytest
 
 from repro.core.apportionment import ApportionmentBasis, ShareApportionment
-from repro.core.uncertainty import MonteCarloCarbonModel, UncertainInput
-
-#: The shim is deprecated by design; these tests exercise it on purpose.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:MonteCarloCarbonModel is deprecated:DeprecationWarning")
+from repro.core.uncertainty import (
+    UncertainInput,
+    closed_form_draws,
+    summarise_closed_form,
+)
 
 
 class TestShareApportionment:
@@ -61,18 +61,28 @@ class TestUncertainInput:
             UncertainInput(lifetimes_years=())
 
 
+def _draws(n_samples, seed, inputs=None):
+    """The paper-mode ensemble: 18,760 kWh over 2,398 servers for a day."""
+    return closed_form_draws(inputs or UncertainInput(), 18760.0, 2398, 1.0,
+                             n_samples, seed)
+
+
+def _run(n_samples, seed, inputs=None):
+    return summarise_closed_form(_draws(n_samples, seed, inputs))
+
+
 class TestMonteCarloCarbonModel:
-    @pytest.fixture
-    def model(self):
-        return MonteCarloCarbonModel(it_energy_kwh=18760.0, server_count=2398)
+    """The closed-form ensemble ``repro uncertainty`` runs in paper mode."""
 
-    def test_deterministic_for_seed(self, model):
-        a = model.run(n_samples=2000, seed=1)
-        b = model.run(n_samples=2000, seed=1)
-        assert a.total_kg_mean == b.total_kg_mean
+    def test_deterministic_for_seed(self):
+        a = _draws(2000, seed=1)
+        b = _draws(2000, seed=1)
+        for key in a:
+            assert (a[key] == b[key]).all()
+        assert _run(2000, 1).total_kg_mean == _run(2000, 1).total_kg_mean
 
-    def test_distribution_within_scenario_corners(self, model):
-        result = model.run(n_samples=5000, seed=2)
+    def test_distribution_within_scenario_corners(self):
+        result = _run(5000, seed=2)
         # The scenario corners from Tables 3 and 4 must bracket the
         # Monte-Carlo percentiles.
         corner_low = 938.0 * 1.1 + 375.0
@@ -81,9 +91,9 @@ class TestMonteCarloCarbonModel:
         assert result.total_kg_p95 < corner_high
         assert result.total_kg_p5 < result.total_kg_p50 < result.total_kg_p95
 
-    def test_active_dominates_on_average(self, model):
+    def test_active_dominates_on_average(self):
         """The paper's headline conclusion: embodied is the smaller share."""
-        result = model.run(n_samples=5000, seed=3)
+        result = _run(5000, seed=3)
         assert result.embodied_fraction_mean < 0.5
         assert result.probability_embodied_exceeds_active < 0.5
         assert result.active_kg_mean > result.embodied_kg_mean
@@ -92,37 +102,29 @@ class TestMonteCarloCarbonModel:
         """With a fully decarbonised grid, embodied carbon dominates —
         the future the paper's summary anticipates."""
         inputs = UncertainInput(intensity_low=0.0, intensity_mode=5.0, intensity_high=15.0)
-        model = MonteCarloCarbonModel(18760.0, 2398, inputs=inputs)
-        result = model.run(n_samples=3000, seed=4)
+        result = _run(3000, seed=4, inputs=inputs)
         assert result.probability_embodied_exceeds_active > 0.5
 
-    def test_samples_structure(self, model):
-        draws = model.sample(n_samples=100, seed=5)
+    def test_samples_structure(self):
+        draws = _draws(100, seed=5)
         assert set(draws) >= {"active_kg", "embodied_kg", "total_kg", "intensity", "pue"}
         assert len(draws["total_kg"]) == 100
         assert (draws["total_kg"] >= draws["active_kg"]).all()
 
-    def test_as_dict(self, model):
-        summary = model.run(n_samples=500, seed=6).as_dict()
+    def test_as_dict(self):
+        summary = _run(500, seed=6).as_dict()
         assert summary["samples"] == 500
         assert summary["total_kg_mean"] > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MonteCarloCarbonModel(-1.0, 100)
-        with pytest.raises(ValueError):
-            MonteCarloCarbonModel(100.0, 0)
-        with pytest.raises(ValueError):
-            MonteCarloCarbonModel(100.0, 10).run(n_samples=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            _draws(0, seed=0)
 
 
 class TestDeprecationShim:
-    """The model is now a thin shim over repro.uncertainty; pin both the
-    warning and bit-equivalence with the historical implementation."""
-
-    def test_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="EnsembleRunner"):
-            MonteCarloCarbonModel(18760.0, 2398)
+    """The closed form that outlived the deprecated Monte-Carlo shim draws
+    from the registry distributions and the shared sampler; pin
+    bit-equivalence with the historical implementation."""
 
     @staticmethod
     def _historical_draws(inputs: UncertainInput, it_energy_kwh: float,
@@ -145,10 +147,9 @@ class TestDeprecationShim:
                 "total_kg": active_kg + embodied_kg}
 
     def test_bit_equivalent_quantiles_at_paper_defaults(self):
-        """Same seed, same stream, same arithmetic: the shim's quantiles
-        equal the historical implementation's bit for bit."""
-        model = MonteCarloCarbonModel(18760.0, 2398)
-        result = model.run(n_samples=10_000, seed=0)
+        """Same seed, same stream, same arithmetic: the quantiles equal the
+        historical implementation's bit for bit."""
+        result = _run(10_000, seed=0)
         expected = self._historical_draws(
             UncertainInput(), 18760.0, 2398, 1.0, 10_000, 0)
         total = expected["total_kg"]
@@ -160,8 +161,7 @@ class TestDeprecationShim:
         assert result.embodied_kg_mean == float(expected["embodied_kg"].mean())
 
     def test_sample_columns_bit_equivalent(self):
-        model = MonteCarloCarbonModel(18760.0, 2398)
-        draws = model.sample(n_samples=2048, seed=31)
+        draws = _draws(2048, seed=31)
         expected = self._historical_draws(
             UncertainInput(), 18760.0, 2398, 1.0, 2048, 31)
         for key in ("active_kg", "embodied_kg", "total_kg"):

@@ -5,6 +5,10 @@ and the persistent substrate cache."""
 import numpy as np
 import pytest
 
+from oracles import use_reference_substrate
+from oracles.power import from_utilization_loop
+from oracles.scheduler import build_trace_loop
+
 from repro.api import Assessment, BatchAssessmentRunner, SubstrateCache, default_spec
 from repro.api.persistence import (
     SNAPSHOT_CACHE_VERSION,
@@ -49,7 +53,8 @@ class TestFleetUtilizationFromPlacements:
         scheduler, placements, duration_s = _random_placements(seed)
         for step in (60.0, 300.0, 600.0):
             columnar = scheduler.build_trace(placements, duration_s, step_s=step)
-            oracle = scheduler.build_trace_loop(placements, duration_s, step_s=step)
+            oracle = build_trace_loop(scheduler, placements, duration_s,
+                                      step_s=step)
             np.testing.assert_allclose(columnar.matrix, oracle.matrix,
                                        rtol=1e-12, atol=1e-12)
             assert columnar.node_ids == oracle.node_ids
@@ -64,7 +69,7 @@ class TestFleetUtilizationFromPlacements:
                   cpu_intensity=0.5)
         placements, _ = scheduler.run([job], 90.0)
         columnar = scheduler.build_trace(placements, 90.0, step_s=60.0)
-        oracle = scheduler.build_trace_loop(placements, 90.0, step_s=60.0)
+        oracle = build_trace_loop(scheduler, placements, 90.0, step_s=60.0)
         np.testing.assert_allclose(columnar.matrix, oracle.matrix, rtol=1e-12)
         # 4/4 cores at 0.5 intensity: full first interval, half of the
         # second interval covered by the 90 s window.
@@ -94,7 +99,7 @@ class TestFleetUtilizationFromPlacements:
         late = Job(job_id=0, submit_time_s=5000.0, cores=2, runtime_s=100.0)
         placements, _ = scheduler.run([late], 3600.0)
         trace = scheduler.build_trace(placements, 3600.0, step_s=60.0)
-        oracle = scheduler.build_trace_loop(placements, 3600.0, step_s=60.0)
+        oracle = build_trace_loop(scheduler, placements, 3600.0, step_s=60.0)
         np.testing.assert_array_equal(trace.matrix, oracle.matrix)
         assert not trace.matrix.any()
 
@@ -109,11 +114,6 @@ class TestFleetUtilizationFromPlacements:
         # 2 cores of 4, for 30s of a 60s interval -> 0.25 in interval 0.
         assert trace.matrix[0, 0] == pytest.approx(0.25)
         assert trace.matrix[0, 1] == pytest.approx(0.0)
-
-    def test_unknown_engine_rejected(self):
-        scheduler, placements, duration_s = _random_placements(0)
-        with pytest.raises(ValueError, match="unknown engine"):
-            scheduler.build_trace(placements, duration_s, engine="quantum")
 
     def test_bad_node_cores_rejected(self):
         with pytest.raises(ValueError, match="one entry per node"):
@@ -232,7 +232,7 @@ class TestLazyPowerTrace:
         util = UtilizationTrace(0.0, 60.0, ["a", "b", "c", "d"],
                                 rng.uniform(0.0, 1.0, size=(4, 30)))
         return (PowerBreakdownTrace.from_utilization(util, models),
-                PowerBreakdownTrace.from_utilization_loop(util, models))
+                from_utilization_loop(util, models))
 
     def test_scope_matrix_materialises_on_demand(self, pair):
         lazy, oracle = pair
@@ -304,15 +304,14 @@ class TestLazyPowerTrace:
         model = NodePowerModel(default_catalog().node("cpu-compute-standard"))
         with pytest.raises(ValueError, match="one power model per node"):
             PowerBreakdownTrace.from_utilization(util, [model] * 2)
-        with pytest.raises(ValueError, match="one power model per node"):
-            PowerBreakdownTrace.from_utilization_loop(util, [model] * 2)
 
 
 class TestEngineSelection:
-    def test_oracle_and_columnar_snapshots_agree(self):
+    def test_oracle_and_columnar_snapshots_agree(self, monkeypatch):
         config = build_iris_snapshot_config(node_scale=0.02)
-        oracle = SnapshotExperiment(config, engine="oracle").run()
-        columnar = SnapshotExperiment(config, engine="columnar").run()
+        columnar = SnapshotExperiment(config).run()
+        use_reference_substrate(monkeypatch)
+        oracle = SnapshotExperiment(config).run()
         for row_old, row_new in zip(oracle.table2_rows(), columnar.table2_rows()):
             for key, old_value in row_old.items():
                 if isinstance(old_value, float):

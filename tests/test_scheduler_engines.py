@@ -1,9 +1,9 @@
-"""The indexed scheduler engine and its supporting index structures.
+"""The indexed scheduling loop and its supporting index structures.
 
-The contract under test is strict: ``scheduler_engine="indexed"`` must
-produce **bit-identical** placement sequences, statistics and final
-cluster state to ``scheduler_engine="reference"`` for every input.  The
-differential properties drive both engines over adversarial random job
+The contract under test is strict: ``BackfillScheduler.run`` must produce
+**bit-identical** placement sequences, statistics and final cluster state
+to the seed event loop (``oracles.scheduler``) for every input.  The
+differential properties drive both loops over adversarial random job
 streams and heterogeneous clusters; the unit tests pin the index
 structures against naive O(N) oracles.
 """
@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scheduler as oracle
 from strategies import job_streams, scheduler_clusters
 
+from repro.api.spec import AssessmentSpec
 from repro.snapshot.config import build_iris_snapshot_config
 from repro.snapshot.experiment import SnapshotExperiment
 from repro.workload.cluster import SimulatedCluster, SimulatedNode
 from repro.workload.jobs import Job, JobGenerator, WorkloadProfile
-from repro.workload.scheduler import SCHEDULER_ENGINES, BackfillScheduler
+from repro.workload.scheduler import BackfillScheduler
 from repro.workload.scheduling_index import (
     FreeCoreIndex,
     PendingJobQueue,
@@ -35,20 +37,23 @@ def _cluster(core_counts):
     ])
 
 
+#: The seed loop (through the oracle) and the production indexed loop.
+RUNS = (oracle.run, BackfillScheduler.run)
+
+
 def _run_both(cluster, jobs, duration_s, backfill_depth=50):
-    """Run both engines; return ((placements, stats, free), ...) pairs."""
+    """Run both loops; return ((placements, stats, free), ...) pairs."""
     scheduler = BackfillScheduler(cluster, backfill_depth=backfill_depth)
     outcomes = []
-    for engine in ("reference", "indexed"):
-        placements, stats = scheduler.run(jobs, duration_s,
-                                          scheduler_engine=engine)
+    for run in RUNS:
+        placements, stats = run(scheduler, jobs, duration_s)
         free = [node.free_cores for node in cluster.nodes]
         outcomes.append((placements, stats, free))
     return outcomes
 
 
 class TestEngineDifferential:
-    """indexed == reference, bit for bit."""
+    """indexed == seed loop, bit for bit."""
 
     @given(cluster=scheduler_clusters(), jobs=job_streams(),
            depth=st.sampled_from([0, 1, 50]))
@@ -89,14 +94,6 @@ class TestEngineDifferential:
         # nothing once job 1 is dropped.
         assert reference[1].jobs_unschedulable == 1
 
-    def test_unknown_engine_rejected(self):
-        scheduler = BackfillScheduler(_cluster([4]))
-        with pytest.raises(ValueError, match="unknown scheduler engine"):
-            scheduler.run([], 10.0, scheduler_engine="bogus")
-
-    def test_engine_names_exported(self):
-        assert SCHEDULER_ENGINES == ("indexed", "reference")
-
 
 class TestAntiStall:
     """Submissions at fractional times must never be jumped over.
@@ -113,9 +110,8 @@ class TestAntiStall:
             Job(job_id=1, submit_time_s=0.4, cores=2, runtime_s=0.25),
             Job(job_id=2, submit_time_s=0.9, cores=2, runtime_s=0.25),
         ]
-        for engine in SCHEDULER_ENGINES:
-            placements, stats = BackfillScheduler(cluster).run(
-                jobs, 10.0, scheduler_engine=engine)
+        for run in RUNS:
+            placements, stats = run(BackfillScheduler(cluster), jobs, 10.0)
             starts = {p.job.job_id: p.start_time_s for p in placements}
             assert starts == {0: 0.0, 1: 0.4, 2: 0.9}
             assert stats.mean_wait_s == 0.0
@@ -124,9 +120,8 @@ class TestAntiStall:
     @settings(max_examples=60, deadline=None)
     def test_starts_never_precede_submission(self, jobs):
         cluster = _cluster([4, 2])
-        for engine in SCHEDULER_ENGINES:
-            placements, _ = BackfillScheduler(cluster).run(
-                jobs, 600.0, scheduler_engine=engine)
+        for run in RUNS:
+            placements, _ = run(BackfillScheduler(cluster), jobs, 600.0)
             for placement in placements:
                 assert placement.start_time_s >= placement.job.submit_time_s
 
@@ -330,11 +325,6 @@ class TestClusterSupport:
 
 
 class TestExperimentPlumbing:
-    def test_unknown_scheduler_engine_rejected(self):
-        config = build_iris_snapshot_config(node_scale=0.02)
-        with pytest.raises(ValueError, match="unknown scheduler engine"):
-            SnapshotExperiment(config, scheduler_engine="bogus")
-
     def test_timings_recorded_per_site(self):
         config = build_iris_snapshot_config(node_scale=0.02, campaign_seed=5)
         result = SnapshotExperiment(config).run()
@@ -346,28 +336,17 @@ class TestExperimentPlumbing:
             assert all(value >= 0.0 for value in phases.values())
             assert phases["total_s"] >= phases["schedule_s"]
 
-    def test_scheduler_engine_property(self):
-        config = build_iris_snapshot_config(node_scale=0.02)
-        experiment = SnapshotExperiment(config, scheduler_engine="reference")
-        assert experiment.scheduler_engine == "reference"
-        assert SnapshotExperiment(config).scheduler_engine == "indexed"
-
 
 class TestSpecPlumbing:
     def test_default_engine_hidden_from_digest_surfaces(self):
-        from repro.api.spec import AssessmentSpec
-
+        """A legacy document naming the old default loads as the plain spec."""
         spec = AssessmentSpec()
-        assert spec.scheduler_engine == "indexed"
         assert "scheduler_engine" not in spec.to_dict()
         assert "scheduler_engine" not in spec.physical_key()
+        legacy = dict(spec.to_dict(), scheduler_engine="indexed")
+        assert AssessmentSpec.from_dict(legacy) == spec
 
-    def test_reference_engine_recorded(self):
-        from repro.api.spec import AssessmentSpec
+    def test_legacy_reference_engine_rejected(self):
+        with pytest.raises(ValueError, match="scheduler_engine 'reference'"):
+            AssessmentSpec.from_dict({"scheduler_engine": "reference"})
 
-        spec = AssessmentSpec(scheduler_engine="reference")
-        assert spec.to_dict()["scheduler_engine"] == "reference"
-        key = spec.physical_key()
-        assert key[key.index("scheduler_engine") + 1] == "reference"
-        with pytest.raises(ValueError):
-            AssessmentSpec(scheduler_engine="bogus")

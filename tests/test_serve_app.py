@@ -355,6 +355,33 @@ class TestRequestValidation:
         finally:
             app.close()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"scheduler_engine": "reference"}, "scheduler_engine 'reference'"),
+        ({"engine": "oracle"}, "engine 'oracle' was removed"),
+        ({"shard_nodes": 16, "shard_dtype": "float32"},
+         "only apply to engine 'sharded'"),
+    ])
+    def test_removed_engines_and_stray_shard_fields(self, doc, message):
+        app = ServeApp(ServeConfig(workers=1))
+        try:
+            for kind in ("assess", "temporal"):
+                with pytest.raises(BadRequest, match=message):
+                    app.handle(kind, dict(doc, node_scale=0.02))
+            assert app.substrates.snapshot_runs == 0
+        finally:
+            app.close()
+
+    def test_legacy_default_scheduler_engine_is_dropped(self, counting_source):
+        app = ServeApp(ServeConfig(workers=1))
+        try:
+            legacy, _ = app.handle("assess",
+                                   _doc(scheduler_engine="indexed"))
+            plain, _ = app.handle("assess", _doc())
+            assert legacy == plain
+            assert "scheduler_engine" not in legacy["spec"]
+        finally:
+            app.close()
+
     def test_uncertainty_request_envelope(self):
         app = ServeApp(ServeConfig(workers=1))
         try:

@@ -149,6 +149,15 @@ class TestRouting:
         assert status == 400
         assert "bogus" in body["error"]
 
+    def test_shard_fields_on_a_dense_spec_are_400(self, live):
+        """Accepted, they would record the plain spec's substrate under a
+        second catalog address."""
+        status, _, body = live.request(
+            "POST", "/assess", _doc(shard_nodes=16, shard_dtype="float32"))
+        assert status == 400
+        assert "engine 'sharded'" in body["error"]
+        assert live.source.calls == 0
+
     def test_malformed_request_line_is_400(self, live):
         assert live.raw_request(b"COMPLETE GIBBERISH\r\n\r\n") == 400
 

@@ -2,7 +2,7 @@
 
 Covers the shard store itself (build, reuse, versioning, dtype/layout
 variants), the streaming power contraction against the dense oracle, the
-experiment-level ``sharded`` engine (serial and process-pool), and the
+experiment-level ``sharded`` engine (serial and parallel), and the
 spec/CLI wiring (physical-key extension, default-omitting serialisation).
 """
 
@@ -314,14 +314,24 @@ class TestSpecWiring:
         assert data["shard_dtype"] == "float32"
         assert AssessmentSpec.from_dict(data) == spec
 
-    def test_oracle_engine_gets_its_own_key(self):
-        dense = default_spec(node_scale=0.25)
-        oracle = default_spec(node_scale=0.25, engine="oracle")
-        assert oracle.physical_key() != dense.physical_key()
-        # The shard knobs are irrelevant off the sharded engine.
-        assert oracle.physical_key() == \
-            default_spec(node_scale=0.25, engine="oracle",
-                         shard_nodes=99).physical_key()
+    @pytest.mark.parametrize("knobs", [
+        dict(shard_nodes=16), dict(shard_dtype="float32"),
+        dict(shard_nodes=16, shard_dtype="float32"),
+    ])
+    def test_shard_fields_require_sharded_engine(self, knobs):
+        """A dense spec carrying shard knobs would share the plain spec's
+        physical key (one substrate) but serialise differently (a second
+        catalog address), so it is rejected outright."""
+        with pytest.raises(ValueError, match="only apply to engine 'sharded'"):
+            default_spec(node_scale=0.02, **knobs)
+        with pytest.raises(ValueError, match="only apply to engine 'sharded'"):
+            AssessmentSpec.from_dict(dict(node_scale=0.02, **knobs))
+        assert default_spec(node_scale=0.02, engine="sharded",
+                            **knobs).to_dict()["engine"] == "sharded"
+
+    def test_legacy_oracle_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine 'oracle' was removed"):
+            AssessmentSpec.from_dict({"node_scale": 0.25, "engine": "oracle"})
 
     def test_invalid_engine_fields_rejected(self):
         with pytest.raises(ValueError, match="engine"):

@@ -11,7 +11,7 @@ from repro.snapshot.config import (
     IRIS_SITE_IPMI_COVERAGE,
     SiteSnapshotConfig,
     SnapshotConfig,
-    default_iris_snapshot_config,
+    build_iris_snapshot_config,
 )
 
 
@@ -40,7 +40,7 @@ class TestSiteSnapshotConfig:
 
 class TestSnapshotConfig:
     def test_site_lookup(self):
-        config = default_iris_snapshot_config()
+        config = build_iris_snapshot_config()
         assert config.site_config("QMUL").node_count == 118
         with pytest.raises(KeyError):
             config.site_config("missing")
@@ -67,7 +67,7 @@ class TestSnapshotConfig:
 
 class TestDefaultIrisConfig:
     def test_matches_paper_node_counts(self):
-        config = default_iris_snapshot_config()
+        config = build_iris_snapshot_config()
         assert set(config.site_names) == set(IRIS_SNAPSHOT_MEASURED_NODES)
         for site in config.sites:
             assert site.node_count == IRIS_SNAPSHOT_MEASURED_NODES[site.site]
@@ -77,7 +77,7 @@ class TestDefaultIrisConfig:
             assert site.target_node_power_w is not None
 
     def test_only_qmul_has_turbostat(self):
-        config = default_iris_snapshot_config()
+        config = build_iris_snapshot_config()
         for site in config.sites:
             if site.site == "QMUL":
                 assert "turbostat" in site.measurement_methods
@@ -85,16 +85,16 @@ class TestDefaultIrisConfig:
                 assert "turbostat" not in site.measurement_methods
 
     def test_node_scale(self):
-        config = default_iris_snapshot_config(node_scale=0.1)
+        config = build_iris_snapshot_config(node_scale=0.1)
         assert config.site_config("QMUL").node_count == 12
         assert config.site_config("CAM").node_count >= 2
         # Per-node calibration targets stay identical under scaling.
-        full = default_iris_snapshot_config()
+        full = build_iris_snapshot_config()
         assert (config.site_config("DUR").target_node_power_w
                 == full.site_config("DUR").target_node_power_w)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
-            default_iris_snapshot_config(node_scale=0.0)
+            build_iris_snapshot_config(node_scale=0.0)
         with pytest.raises(ValueError):
-            default_iris_snapshot_config(node_scale=2.0)
+            build_iris_snapshot_config(node_scale=2.0)

@@ -1,7 +1,7 @@
 """Differential tests for the columnar sweep compiler.
 
 The compiled batch engine must be indistinguishable from the per-spec
-reference loop: byte-identical serialised results in identical order over
+reference loop (``oracles.batch``): byte-identical serialised results in identical order over
 random grids mixing columnar axes (intensity, PUE, lifetime, per-server
 embodied, grid) with fallback axes (non-linear amortisation, named
 embodied estimators), while simulating exactly one substrate per physical
@@ -10,6 +10,7 @@ fail-fast snapshot preparation and the cross-engine catalog digests are
 pinned alongside.
 """
 
+import hashlib
 import json
 import threading
 import time
@@ -17,6 +18,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from oracles import batch as oracle
 
 from repro.api import (
     Assessment,
@@ -26,9 +29,9 @@ from repro.api import (
     compile_sweep,
     default_spec,
 )
-from repro.api.batch import BATCH_ENGINES
 from repro.api.columnar import COLUMNAR, FALLBACK, temporal_group_key
 from repro.catalog import RunCatalog
+from repro.cli import main
 
 #: The pinned physical configuration the differential grids share.
 PHYSICAL = dict(node_scale=0.02, campaign_seed=3)
@@ -97,9 +100,8 @@ class TestSweepDifferential:
         col = BatchAssessmentRunner(
             default_spec(campaign_seed=3), substrates=cache).sweep(**axes)
         assert cache.snapshot_runs == 2
-        ref = BatchAssessmentRunner(
-            default_spec(campaign_seed=3), substrates=cache,
-            batch_engine="reference").sweep(**axes)
+        ref = oracle.sweep(BatchAssessmentRunner(
+            default_spec(campaign_seed=3), substrates=cache), **axes)
         assert [canonical(r) for r in col] == [canonical(r) for r in ref]
 
     def test_temporal_sweep_matches_reference(self, substrates):
@@ -108,9 +110,8 @@ class TestSweepDifferential:
         col = BatchAssessmentRunner(
             default_spec(**PHYSICAL),
             substrates=substrates).sweep_temporal(**axes)
-        ref = BatchAssessmentRunner(
-            default_spec(**PHYSICAL), substrates=substrates,
-            batch_engine="reference").sweep_temporal(**axes)
+        ref = oracle.sweep_temporal(BatchAssessmentRunner(
+            default_spec(**PHYSICAL), substrates=substrates), **axes)
         assert [canonical(r) for r in col] == [canonical(r) for r in ref]
 
     def test_temporal_grid_axis_matches_reference(self, substrates):
@@ -119,9 +120,8 @@ class TestSweepDifferential:
         col = BatchAssessmentRunner(
             default_spec(**PHYSICAL),
             substrates=substrates).sweep_temporal(**axes)
-        ref = BatchAssessmentRunner(
-            default_spec(**PHYSICAL), substrates=substrates,
-            batch_engine="reference").sweep_temporal(**axes)
+        ref = oracle.sweep_temporal(BatchAssessmentRunner(
+            default_spec(**PHYSICAL), substrates=substrates), **axes)
         assert [canonical(r) for r in col] == [canonical(r) for r in ref]
 
     def test_portfolio_sweep_matches_reference(self, substrates):
@@ -129,10 +129,9 @@ class TestSweepDifferential:
         col = BatchAssessmentRunner(
             default_spec(**PHYSICAL), substrates=substrates).sweep_portfolio(
                 ["GB", "FR", "PL"], load_split=splits)
-        ref = BatchAssessmentRunner(
-            default_spec(**PHYSICAL), substrates=substrates,
-            batch_engine="reference").sweep_portfolio(
-                ["GB", "FR", "PL"], load_split=splits)
+        ref = oracle.sweep_portfolio(BatchAssessmentRunner(
+            default_spec(**PHYSICAL), substrates=substrates),
+            ["GB", "FR", "PL"], load_split=splits)
         assert [canonical(r) for r in col.results] == \
                [canonical(r) for r in ref.results]
 
@@ -179,14 +178,6 @@ class TestPlanner:
                                   carbon_intensity_g_per_kwh=None)
         assert temporal_group_key(grid_bound) != temporal_group_key(base)
 
-    def test_unknown_batch_engine_rejected(self):
-        with pytest.raises(ValueError, match="batch_engine"):
-            BatchAssessmentRunner(default_spec(**PHYSICAL),
-                                  batch_engine="vectorised")
-
-    def test_engine_names(self):
-        assert BATCH_ENGINES == ("columnar", "reference")
-
 
 class TestDedupe:
     def test_duplicate_specs_evaluate_once(self, substrates, tmp_path):
@@ -203,10 +194,14 @@ class TestDedupe:
         with RunCatalog(tmp_path / "runs.db", create=False) as catalog:
             assert catalog.count() == 2
 
-    def test_duplicate_specs_evaluate_once_reference_engine(self, substrates):
+    def test_duplicate_specs_evaluate_once_reference_engine(
+            self, substrates, monkeypatch):
+        """Dedupe happens ahead of the evaluator, so it holds with the
+        per-spec loop swapped in too."""
+        monkeypatch.setattr(BatchAssessmentRunner, "_evaluate_assessments",
+                            oracle.evaluate_assessments)
         runner = BatchAssessmentRunner(
-            default_spec(**PHYSICAL), substrates=substrates,
-            batch_engine="reference")
+            default_spec(**PHYSICAL), substrates=substrates)
         batch = runner.sweep(lifetime=[5.0, 5.0, 3.0])
         assert len(batch) == 3
         assert batch[0] is batch[1]
@@ -260,13 +255,14 @@ class TestPrepareSnapshotsFailFast:
 
 class TestCatalogParity:
     def test_catalog_digests_shared_across_engines(self, substrates, tmp_path):
-        """A sweep recorded by one engine is served, byte-identical, to the
-        other — catalog keys and payloads don't move with the engine."""
+        """A sweep recorded by the per-spec loop is served, byte-identical,
+        to the compiled engine — catalog keys and payloads don't move with
+        the engine."""
         db = tmp_path / "runs.db"
         axes = dict(intensity=[50, 175.0], pue=[1.1, 1.3])
-        recorded = BatchAssessmentRunner(
-            default_spec(**PHYSICAL), substrates=substrates,
-            catalog=db, batch_engine="reference").sweep(**axes)
+        recorded = oracle.sweep(BatchAssessmentRunner(
+            default_spec(**PHYSICAL), substrates=substrates, catalog=db),
+            **axes)
         serving_cache = SubstrateCache()
         served = BatchAssessmentRunner(
             default_spec(**PHYSICAL), substrates=serving_cache,
@@ -275,3 +271,26 @@ class TestCatalogParity:
         assert all(result.served_from_catalog for result in served)
         assert [json.dumps(r.summary(), sort_keys=True) for r in served] == \
                [json.dumps(r.summary(), sort_keys=True) for r in recorded]
+
+
+class TestCliDigests:
+    def test_sweep_csv_matches_per_spec_loop(self, monkeypatch, tmp_path):
+        """``repro assess --sweep`` over the 12-point intensity x PUE x
+        amortization grid (columnar and fallback points) writes a
+        byte-identical CSV with the per-spec loop swapped in."""
+        def sweep_csv(name):
+            out = tmp_path / name
+            assert main(["assess", "--scale", "0.02",
+                         "--sweep", "intensity=50,175,300",
+                         "--sweep", "pue=1.1,1.3",
+                         "--sweep", "amortization=linear,utilization-weighted",
+                         "--format", "csv", "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        columnar = sweep_csv("columnar.csv")
+        monkeypatch.setattr(BatchAssessmentRunner, "_evaluate_assessments",
+                            oracle.evaluate_assessments)
+        reference = sweep_csv("reference.csv")
+        assert (hashlib.sha256(columnar).hexdigest()
+                == hashlib.sha256(reference).hexdigest())
+        assert len(columnar.decode().strip().splitlines()) == 13

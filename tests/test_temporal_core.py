@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles.temporal import integrate_power_intensity_naive
+
 from repro.grid.synthetic import SyntheticGridModel, uk_november_2022_intensity
 from repro.temporal.align import ALIGNMENT_POLICIES, align_power_and_intensity
-from repro.temporal.integrate import (
-    integrate_power_intensity,
-    integrate_power_intensity_naive,
-)
+from repro.temporal.integrate import integrate_power_intensity
 from repro.temporal.profile import TemporalEmissionsProfile
 from repro.temporal.scenarios import defer_load, time_shift
 from repro.timeseries.series import TimeSeries, TimeSeriesError
