@@ -9,9 +9,12 @@ Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``-s`` shows the regenerated tables next to the timing results.  Each bench
-also writes its rows to ``benchmarks/results/`` as CSV/JSON so the output
-can be diffed against the paper without re-running.
+``-s`` shows the regenerated tables next to the timing results.  The
+paper-table benches also write their deterministic rows to
+``benchmarks/results/`` as CSV/JSON so the output can be diffed against
+the paper without re-running.  Benches that measure wall-clock or memory
+write their records to a temporary directory, so a test run leaves the
+committed files unchanged.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def _batched_scenarios() -> tuple:
     return batch, cache
 
 
-def test_bench_batch_vs_naive(results_dir):
+def test_bench_batch_vs_naive(tmp_path):
     start = time.perf_counter()
     naive_totals = _naive_scenarios()
     naive_s = time.perf_counter() - start
@@ -66,7 +66,7 @@ def test_bench_batch_vs_naive(results_dir):
     assert speedup >= 1.5, (
         f"batch sweep ({batch_s:.2f}s) not meaningfully faster than the "
         f"naive loop ({naive_s:.2f}s); speedup {speedup:.2f}x < 1.5x floor")
-    write_json(results_dir / "bench_batch_api.json", {
+    write_json(tmp_path / "bench_batch_api.json", {
         "scenarios": len(batch),
         "node_scale": SCALE,
         "naive_seconds": naive_s,

@@ -22,7 +22,7 @@ SCALE = 0.1
 REPEATS = 5
 
 
-def test_bench_catalog_served_repeat(results_dir, tmp_path):
+def test_bench_catalog_served_repeat(tmp_path):
     spec = default_spec(node_scale=SCALE)
     with RunCatalog(tmp_path / "runs.db") as catalog:
         start = time.perf_counter()
@@ -51,7 +51,7 @@ def test_bench_catalog_served_repeat(results_dir, tmp_path):
         f"catalog serve ({served_s * 1e3:.1f}ms) not meaningfully faster "
         f"than fresh simulation ({fresh_s * 1e3:.1f}ms); "
         f"speedup {speedup:.0f}x < 20x floor")
-    write_json(results_dir / "bench_catalog.json", {
+    write_json(tmp_path / "bench_catalog.json", {
         "node_scale": SCALE,
         "fresh_seconds": fresh_s,
         "served_seconds_mean": served_s,

@@ -152,7 +152,7 @@ def _assert_equivalent(oracle: SnapshotResult, columnar: SnapshotResult):
                                rtol=EQUIVALENCE_RTOL, atol=1e-6)
 
 
-def test_bench_fleet_engine_full_scale(scheduled_fleet, results_dir):
+def test_bench_fleet_engine_full_scale(scheduled_fleet, tmp_path):
     config, sites = scheduled_fleet
 
     oracle_s = _best_time(lambda: _run_substrate(config, sites, "oracle"))
@@ -164,7 +164,7 @@ def test_bench_fleet_engine_full_scale(scheduled_fleet, results_dir):
     _assert_equivalent(oracle, columnar)
     assert columnar.total_nodes == 2462
 
-    write_json(results_dir / "bench_fleet_engine.json", {
+    write_json(tmp_path / "bench_fleet_engine.json", {
         "node_scale": NODE_SCALE,
         "total_nodes": columnar.total_nodes,
         "placements": sum(len(entry["placements"]) for entry in sites),

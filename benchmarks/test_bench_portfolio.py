@@ -43,7 +43,7 @@ def _naive_assessments(spec: PortfolioSpec) -> list:
     return totals
 
 
-def test_bench_portfolio_vs_naive(results_dir):
+def test_bench_portfolio_vs_naive(tmp_path):
     spec = _portfolio_spec(SCALE)
 
     start = time.perf_counter()
@@ -65,7 +65,7 @@ def test_bench_portfolio_vs_naive(results_dir):
         f"portfolio run ({portfolio_s:.2f}s) not meaningfully faster than "
         f"{len(REGIONS)} naive cold-cache assessments ({naive_s:.2f}s); "
         f"speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x floor")
-    write_json(results_dir / "bench_portfolio.json", {
+    write_json(tmp_path / "bench_portfolio.json", {
         "sites": len(REGIONS),
         "node_scale": SCALE,
         "naive_seconds": naive_s,

@@ -149,7 +149,7 @@ def test_bench_scheduler_bit_identity_calibrated(node_scale):
     assert sum(len(outcome[1]) for outcome in indexed) > 0
 
 
-def test_bench_scheduler_speedup_contended(results_dir):
+def test_bench_scheduler_speedup_contended(tmp_path):
     """Full node scale at a 0.9 utilisation target: >= 5x, bit-identical."""
     config = build_iris_snapshot_config(node_scale=1.0,
                                         sites=CONTENDED_SITES)
@@ -176,7 +176,7 @@ def test_bench_scheduler_speedup_contended(results_dir):
     _assert_bit_identical(calibrated_ref, calibrated_idx)
 
     scaling = _scaling_points()
-    write_json(results_dir / "bench_scheduler.json", {
+    write_json(tmp_path / "bench_scheduler.json", {
         "contended": {
             "node_scale": 1.0,
             "sites": list(CONTENDED_SITES),

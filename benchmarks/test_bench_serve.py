@@ -41,7 +41,7 @@ def _doc(**overrides):
     return doc
 
 
-def test_bench_serve_coalescing(results_dir):
+def test_bench_serve_coalescing(tmp_path):
     # Reference cost: one cold-cache simulation through the library path.
     start = time.perf_counter()
     reference = Assessment.from_spec(
@@ -78,7 +78,7 @@ def test_bench_serve_coalescing(results_dir):
         f"{CONCURRENT_REQUESTS} coalesced requests took {concurrent_s:.3f}s "
         f"vs {sequential_estimate_s:.3f}s sequential cold estimate; "
         f"speedup {speedup:.1f}x < {COALESCING_FLOOR}x floor")
-    write_json(results_dir / "bench_serve_coalescing.json", {
+    write_json(tmp_path / "bench_serve_coalescing.json", {
         "node_scale": SCALE,
         "concurrent_requests": CONCURRENT_REQUESTS,
         "cold_single_seconds": cold_s,
@@ -93,7 +93,7 @@ def test_bench_serve_coalescing(results_dir):
           f"reference total {reference.total_kg:,.1f} kg")
 
 
-def test_bench_serve_catalog_read_through(results_dir, tmp_path):
+def test_bench_serve_catalog_read_through(tmp_path):
     encode = lambda payload: json.dumps(  # noqa: E731
         payload, sort_keys=True, default=json_default)
 
@@ -127,7 +127,7 @@ def test_bench_serve_catalog_read_through(results_dir, tmp_path):
         f"catalog-served request ({served_s * 1e3:.1f}ms) not meaningfully "
         f"faster than the live one ({live_s * 1e3:.1f}ms); "
         f"speedup {speedup:.0f}x < 10x floor")
-    write_json(results_dir / "bench_serve_read_through.json", {
+    write_json(tmp_path / "bench_serve_read_through.json", {
         "node_scale": SCALE,
         "live_seconds": live_s,
         "served_seconds": served_s,

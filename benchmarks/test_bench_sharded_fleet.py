@@ -1,13 +1,13 @@
-"""Bench: the out-of-core sharded fleet substrate vs the dense engine.
+"""Bench: the out-of-core sharded fleet substrate vs the dense path.
 
 Two acceptance bars:
 
-* **Fidelity** — at ``node_scale=1.0`` (the full 2,462-node IRIS fleet)
-  the sharded engine must agree with the dense columnar engine to ≤1e-9
-  relative on every Table 2 energy and on the facility power series.  The
-  engines share the scheduler and the affine power model; they differ
-  only in where the utilisation matrix lives and in floating-point
-  summation order.
+* **Fidelity** — at ``node_scale=1.0`` (the full 2,462-node IRIS fleet),
+  with the in-memory limit lowered so every site goes out of core, the
+  snapshot must agree with the dense run to ≤1e-9 relative on every
+  Table 2 energy and on the facility power series.  Both paths share the
+  scheduler and the affine power model; they differ only in where the
+  utilisation matrix lives and in floating-point summation order.
 
 * **Memory** — the point of the substrate: a fleet whose dense
   utilisation matrix does not fit in RAM must still be assessable.  A
@@ -30,10 +30,18 @@ import pytest
 
 import repro
 from repro.io.jsonio import write_json
+from repro.snapshot import experiment
 from repro.snapshot.config import build_iris_snapshot_config
-from repro.snapshot.experiment import SnapshotExperiment, SnapshotResult
+from repro.snapshot.experiment import (
+    SnapshotExperiment,
+    SnapshotResult,
+    out_of_core,
+)
 
 EQUIVALENCE_RTOL = 1e-9
+
+#: Float64 bytes of one node's row in the default 24 h, 60 s snapshot.
+NODE_ROW_BYTES = 1440 * 8
 
 #: The RLIMIT_AS cap, and the synthetic fleet sized to overflow it
 #: densely (32768 × 2880 × 8 bytes ≈ 755 MB) while a single 2048-node
@@ -118,11 +126,15 @@ def _assert_equivalent(dense: SnapshotResult, sharded: SnapshotResult):
 
 def test_bench_sharded_engine_full_scale_equivalence(results_dir,
                                                      full_snapshot,
-                                                     tmp_path):
+                                                     tmp_path, monkeypatch):
     """Full IRIS fleet: sharded == dense on every reported figure."""
     config = build_iris_snapshot_config()
-    sharded = SnapshotExperiment(config, engine="sharded",
-                                 shard_dir=tmp_path,
+    # 32-node shards: every site (the smallest has 59 nodes) goes out of
+    # core, and each streams several shards.
+    monkeypatch.setattr(experiment, "DENSE_TRACE_LIMIT_BYTES",
+                        32 * NODE_ROW_BYTES)
+    assert all(out_of_core(site, config) for site in config.sites)
+    sharded = SnapshotExperiment(config, shard_dir=tmp_path,
                                  shard_key="bench-full-scale").run()
     _assert_equivalent(full_snapshot, sharded)
     assert sharded.total_nodes == 2462
@@ -137,14 +149,14 @@ def test_bench_sharded_engine_full_scale_equivalence(results_dir,
         "shard_store_bytes": shard_bytes,
         "equivalence_rtol": EQUIVALENCE_RTOL,
     })
-    print(f"\nsharded engine at full scale: {sharded.total_nodes} nodes, "
+    print(f"\nout of core at full scale: {sharded.total_nodes} nodes, "
           f"{shard_bytes / 1e6:.1f} MB of shards, equivalent to dense "
           f"within {EQUIVALENCE_RTOL:g}")
 
 
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="RLIMIT_AS semantics are only dependable on Linux")
-def test_bench_sharded_engine_bounded_memory(results_dir, tmp_path):
+def test_bench_sharded_engine_bounded_memory(tmp_path):
     """The dense path dies under the RSS cap; the sharded path completes."""
     script = tmp_path / "capped_child.py"
     script.write_text(_CHILD_SCRIPT)
@@ -175,7 +187,7 @@ def test_bench_sharded_engine_bounded_memory(results_dir, tmp_path):
     assert peak_bytes < MEMORY_CAP_BYTES
 
     dense_bytes = CHILD_NODES * int(CHILD_DURATION_S / 60.0) * 8
-    write_json(results_dir / "bench_sharded_memory.json", {
+    write_json(tmp_path / "bench_sharded_memory.json", {
         "nodes": CHILD_NODES,
         "shard_nodes": CHILD_SHARD_NODES,
         "dense_matrix_bytes": dense_bytes,
@@ -188,12 +200,13 @@ def test_bench_sharded_engine_bounded_memory(results_dir, tmp_path):
           f"{OOM_EXIT_CODE}); sharded peaked at {peak_bytes / 1e6:.0f} MB")
 
 
-def test_sharded_engine_smoke_tiny_scale(tmp_path):
+def test_sharded_engine_smoke_tiny_scale(tmp_path, monkeypatch):
     """CI smoke: sharded and dense agree end to end at a tiny fleet scale."""
     config = build_iris_snapshot_config(node_scale=0.02)
     dense = SnapshotExperiment(config).run()
-    sharded = SnapshotExperiment(config, engine="sharded",
-                                 shard_nodes=8, shard_dir=tmp_path,
+    monkeypatch.setattr(experiment, "DENSE_TRACE_LIMIT_BYTES", NODE_ROW_BYTES)
+    assert all(out_of_core(site, config) for site in config.sites)
+    sharded = SnapshotExperiment(config, shard_dir=tmp_path,
                                  shard_key="smoke").run()
     _assert_equivalent(dense, sharded)
     assert sharded.total_best_estimate_kwh > 0

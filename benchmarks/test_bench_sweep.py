@@ -70,7 +70,7 @@ def _canonical_rows(batch):
     return [json.dumps(row, sort_keys=True) for row in batch.as_rows()]
 
 
-def test_bench_sweep_columnar_speedup(results_dir):
+def test_bench_sweep_columnar_speedup(tmp_path):
     """1,000 analysis-only points, one warm substrate: >= 10x, bit-identical."""
     substrates = SubstrateCache()
     base = default_spec(node_scale=NODE_SCALE)
@@ -107,7 +107,7 @@ def test_bench_sweep_columnar_speedup(results_dir):
         lambda: oracle.sweep(columnar, **mixed_axes))
     assert _canonical_rows(mixed_col) == _canonical_rows(mixed_ref)
 
-    write_json(results_dir / "bench_sweep.json", {
+    write_json(tmp_path / "bench_sweep.json", {
         "analysis_grid": {
             "node_scale": NODE_SCALE,
             "points": len(specs),

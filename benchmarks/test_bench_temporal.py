@@ -53,7 +53,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def test_bench_vectorized_integration_speedup(results_dir):
+def test_bench_vectorized_integration_speedup(tmp_path):
     power, intensity = _year_traces()
 
     naive_s = _best_of(
@@ -64,7 +64,7 @@ def test_bench_vectorized_integration_speedup(results_dir):
         repeats=20)
 
     speedup = naive_s / vectorized_s
-    write_json(results_dir / "bench_temporal_integration.json", {
+    write_json(tmp_path / "bench_temporal_integration.json", {
         "intervals": N_INTERVALS,
         "naive_s": naive_s,
         "vectorized_s": vectorized_s,

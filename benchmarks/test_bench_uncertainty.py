@@ -35,7 +35,7 @@ def _runner(cache: SubstrateCache) -> EnsembleRunner:
     return EnsembleRunner(default_spec(node_scale=SCALE), substrates=cache)
 
 
-def test_bench_vectorized_vs_oracle(results_dir):
+def test_bench_vectorized_vs_oracle(tmp_path):
     cache = SubstrateCache()
     runner = _runner(cache)
     # Warm the substrate so both sides time the analysis stage only.
@@ -73,7 +73,7 @@ def test_bench_vectorized_vs_oracle(results_dir):
         f"vectorized ensemble ({vectorized_s:.3f}s) not >= 20x faster than "
         f"the oracle ({oracle_s:.2f}s) at {SAMPLES} samples; "
         f"got {speedup:.1f}x")
-    write_json(results_dir / "bench_uncertainty.json", {
+    write_json(tmp_path / "bench_uncertainty.json", {
         "samples": SAMPLES,
         "node_scale": SCALE,
         "oracle_seconds": oracle_s,

@@ -15,11 +15,16 @@ the remaining **scenario** fields (intensity, PUE, lifetime, embodied
 estimate) only affect the cheap carbon-model evaluation.  Specs sharing a
 :meth:`~AssessmentSpec.physical_key` can therefore share one simulated
 snapshot — the batch runner's main speed lever.
+
+How the substrate is computed — in memory or out of core — is not a spec
+field: the simulation chooses it from the fleet size (see
+:func:`repro.snapshot.experiment.out_of_core`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -59,6 +64,30 @@ SAMPLABLE_FIELDS = (
 #: either form separate physical groups or fall back to the per-spec
 #: reference loop (see :mod:`repro.api.columnar`).
 COLUMNAR_SWEEP_FIELDS = ANALYSIS_SAMPLE_FIELDS + ("grid",)
+
+#: Numeric fields stored as ``float``, so ``1`` and ``1.0`` give one spec,
+#: one serialised document and one digest.
+_FLOAT_FIELDS = (
+    "node_scale", "duration_hours", "trace_step_s",
+    "carbon_intensity_g_per_kwh", "pue", "per_server_kgco2",
+    "lifetime_years", "temporal_resolution_s", "shift_hours",
+    "defer_fraction",
+)
+_OPTIONAL_FLOAT_FIELDS = (
+    "carbon_intensity_g_per_kwh", "per_server_kgco2", "temporal_resolution_s",
+)
+
+_BY_SIZE = "out-of-core storage is now chosen from the fleet size"
+
+#: Fields removed from the spec, mapped to the one value an older document
+#: may still carry (the removed field's default, which ``from_dict``
+#: drops) and the reason any other value is rejected.
+_REMOVED_FIELDS = {
+    "scheduler_engine": ("indexed", "the indexed scheduler is the only one"),
+    "engine": ("columnar", _BY_SIZE),
+    "shard_nodes": (4096, _BY_SIZE),
+    "shard_dtype": ("float64", _BY_SIZE),
+}
 
 
 @dataclass(frozen=True)
@@ -111,16 +140,9 @@ class AssessmentSpec:
     defer_fraction:
         Carbon-aware scenario: fraction of above-median-intensity energy
         deferred into below-median intervals, in [0, 1).
-    engine:
-        Simulation substrate engine: ``"columnar"`` (default, the
-        vectorised in-memory path) or ``"sharded"`` (the out-of-core path
-        streaming node-axis shards from disk, for fleets whose dense
-        matrix does not fit in RAM).
-    shard_nodes / shard_dtype:
-        Sharded-engine tuning: nodes per shard file, and the on-disk
-        storage dtype (``"float32"`` halves the footprint; reductions
-        still accumulate in float64).  Only the sharded engine accepts
-        non-default values.
+
+    Numeric fields other than ``campaign_seed`` are stored as ``float``;
+    ``campaign_seed`` must be integral.
     """
 
     inventory: str = "iris"
@@ -140,11 +162,9 @@ class AssessmentSpec:
     alignment: str = "resample"
     shift_hours: float = 0.0
     defer_fraction: float = 0.0
-    engine: str = "columnar"
-    shard_nodes: int = 4096
-    shard_dtype: str = "float64"
 
     def __post_init__(self):
+        self._normalise_numbers()
         if not self.inventory:
             raise ValueError("inventory must be non-empty")
         if not 0.0 < self.node_scale <= 1.0:
@@ -181,28 +201,31 @@ class AssessmentSpec:
             )
         if not 0.0 <= self.defer_fraction < 1.0:
             raise ValueError("defer_fraction must be in [0, 1)")
-        from repro.snapshot.experiment import EXPERIMENT_ENGINES
 
-        if self.engine not in EXPERIMENT_ENGINES:
-            raise ValueError(
-                f"engine must be one of {', '.join(EXPERIMENT_ENGINES)}, "
-                f"got {self.engine!r}")
-        if self.shard_nodes < 1:
-            raise ValueError("shard_nodes must be at least 1")
-        from repro.workload.fleet import SHARD_DTYPES
+    def _normalise_numbers(self) -> None:
+        """Store floats as ``float`` and the seed as ``int``, rejecting bools.
 
-        if self.shard_dtype not in SHARD_DTYPES:
+        Equal specs must serialise identically: ``1`` and ``1.0`` compare
+        equal, but would otherwise give two documents, two catalog
+        addresses and two persisted snapshots.
+        """
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is float or (value is None
+                                        and name in _OPTIONAL_FLOAT_FIELDS):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        seed = self.campaign_seed
+        if type(seed) is int:
+            return
+        if isinstance(seed, float) and seed.is_integer():
+            seed = int(seed)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise ValueError(
-                f"shard_dtype must be one of {', '.join(SHARD_DTYPES)}, "
-                f"got {self.shard_dtype!r}")
-        if self.engine != "sharded" and (self.shard_nodes != 4096
-                                         or self.shard_dtype != "float64"):
-            # physical_key() ignores the shard fields off the sharded
-            # engine but to_dict() keeps them, so accepting them would
-            # record one substrate under two catalog addresses.
-            raise ValueError(
-                "shard_nodes and shard_dtype only apply to engine "
-                f"'sharded', got engine {self.engine!r}")
+                f"campaign_seed must be an integer, got {self.campaign_seed!r}")
+        object.__setattr__(self, "campaign_seed", int(seed))
 
     # -- derived views -----------------------------------------------------------
 
@@ -211,24 +234,16 @@ class AssessmentSpec:
 
         Two specs with equal physical keys can share one simulated snapshot;
         everything else is a cheap re-evaluation of the carbon model.
-
-        The default (columnar) engine keeps the historical five-field key
-        byte-for-byte — the on-disk cache digests of every existing spec
-        are unchanged.  The sharded engine extends the key with its shard
-        geometry and storage dtype, because its sums differ from the dense
-        engine's in floating-point order, so the two substrates must not
-        be served interchangeably.
+        Whether the simulation runs in memory or out of core is itself a
+        function of these fields, so it needs no place in the key.
         """
-        key: Tuple[Any, ...] = (
+        return (
             self.inventory,
             self.node_scale,
             self.duration_hours,
             self.trace_step_s,
             self.campaign_seed,
         )
-        if self.engine == "sharded":
-            key += ("engine", self.engine, self.shard_nodes, self.shard_dtype)
-        return key
 
     def replace(self, **changes: Any) -> "AssessmentSpec":
         """A copy of the spec with the given fields replaced (validated)."""
@@ -239,41 +254,29 @@ class AssessmentSpec:
     def to_dict(self) -> Dict[str, Any]:
         """The spec as a plain, JSON-serialisable dictionary.
 
-        Engine fields are omitted while they hold their defaults, so the
-        serialised form (and everything digested from it — catalog spec
-        hashes, golden fixtures, exported runs) is byte-identical to what
-        pre-engine releases produced; :meth:`from_dict` fills the defaults
-        back in.
+        Every field appears, so catalog spec hashes, golden fixtures and
+        exported runs digest the whole configuration; equal specs give
+        equal dictionaries.
         """
-        data = dataclasses.asdict(self)
-        for field, default in (("engine", "columnar"),
-                               ("shard_nodes", 4096),
-                               ("shard_dtype", "float64")):
-            if data[field] == default:
-                del data[field]
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AssessmentSpec":
         """Build a spec from a dictionary, rejecting unknown keys loudly.
 
-        Documents written before the reference implementations left the
-        spec may still carry ``scheduler_engine``: its old default
-        (``"indexed"``) is accepted and dropped, while a removed
-        implementation (``scheduler_engine: "reference"``,
-        ``engine: "oracle"``) is rejected by name.
+        Older documents may still carry removed execution fields
+        (``scheduler_engine``, ``engine``, ``shard_nodes``,
+        ``shard_dtype``).  Each one's old default is accepted and dropped;
+        any other value (``engine: "sharded"``, a shard geometry, a removed
+        implementation) is rejected with a message naming the field.
         """
         data = dict(data)
-        scheduler_engine = data.pop("scheduler_engine", "indexed")
-        if scheduler_engine != "indexed":
-            raise ValueError(
-                f"scheduler_engine {scheduler_engine!r} was removed: the "
-                "indexed scheduler is the only one; drop the field")
-        if data.get("engine") == "oracle":
-            raise ValueError(
-                "engine 'oracle' was removed: it computed the same "
-                "snapshot as 'columnar'; use engine 'columnar' or drop "
-                "the field")
+        for field, (default, reason) in _REMOVED_FIELDS.items():
+            value = data.pop(field, default)
+            if value != default:
+                raise ValueError(
+                    f"{field} {value!r} was removed: {reason}; drop the "
+                    "field")
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

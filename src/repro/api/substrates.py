@@ -17,7 +17,9 @@ With ``persist_dir`` set, simulated snapshots are additionally written to
 disk (``.npz`` + JSON sidecar keyed by the spec's physical hash, see
 :mod:`repro.api.persistence`), so a full-scale simulation is paid once per
 machine rather than once per process; ``jobs`` controls how many sites each
-simulation runs concurrently.
+simulation runs concurrently.  Sites too big to simulate in memory (see
+:func:`repro.snapshot.experiment.out_of_core`) keep their shard stores
+under ``<persist_dir>/shards/<digest>/``.
 """
 
 from __future__ import annotations
@@ -215,41 +217,40 @@ class SubstrateCache:
         source (``overwrite=True``) is not served stale results.
 
         With ``persist_dir`` configured, the on-disk cache is consulted
-        before simulating, and fresh simulations are written back.
+        before simulating, and fresh simulations are written back.  A
+        configuration with an out-of-core site is digested with an
+        ``"out-of-core"`` marker after its physical key: entries written
+        before the size rule were all computed in memory, and its sums
+        differ from theirs in floating-point order.
         """
         from repro.api.registry import INVENTORY_SOURCES
-        from repro.snapshot.experiment import SnapshotExperiment
+        from repro.snapshot.experiment import SnapshotExperiment, out_of_core
 
         factory = INVENTORY_SOURCES.get(spec.inventory)
 
         def _run() -> "SnapshotResult":
-            digest = None
+            config = factory(spec)
+            digest = shard_dir = None
             if self._persist_dir is not None:
                 from repro.api.persistence import (
                     load_snapshot_result, snapshot_digest)
 
-                digest = snapshot_digest(spec.physical_key(), factory)
+                key = spec.physical_key()
+                if any(out_of_core(site, config) for site in config.sites):
+                    key += ("out-of-core",)
+                digest = snapshot_digest(key, factory)
                 cached = load_snapshot_result(self._persist_dir, digest)
                 if cached is not None:
                     with self._lock:
                         self.snapshot_loads += 1
                     return cached
-            config = factory(spec)
-            engine_kwargs: Dict[str, Any] = {}
-            if spec.engine == "sharded":
-                engine_kwargs["engine"] = spec.engine
-                engine_kwargs["shard_nodes"] = spec.shard_nodes
-                engine_kwargs["shard_dtype"] = spec.shard_dtype
-                if digest is not None:
-                    # Shard stores live next to the snapshot cache, keyed
-                    # by the same physical digest, so a re-simulation of
-                    # the same physical configuration reuses its shards.
-                    engine_kwargs["shard_dir"] = (
-                        self._persist_dir / "shards" / digest)
-                    engine_kwargs["shard_key"] = digest
+                # Shard stores live next to the snapshot cache, keyed by
+                # the same digest, so a re-simulation of the same physical
+                # configuration reuses its shards.
+                shard_dir = self._persist_dir / "shards" / digest
             result = SnapshotExperiment(
                 config, catalog=self.catalog(), max_workers=self._jobs,
-                **engine_kwargs).run()
+                shard_dir=shard_dir, shard_key=digest).run()
             with self._lock:
                 self.snapshot_runs += 1
             if digest is not None:

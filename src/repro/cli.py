@@ -159,18 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--jobs", type=int, default=None,
                         help="simulate this many sites concurrently "
                              "(default: 1; 0 = one thread per site)")
-    assess.add_argument("--engine", choices=("columnar", "sharded"),
-                        default=None,
-                        help="simulation substrate engine (default: columnar; "
-                             "'sharded' streams node-axis shards from disk so "
-                             "fleets whose dense matrix exceeds RAM still run)")
-    assess.add_argument("--shard-nodes", type=int, default=None, metavar="N",
-                        help="nodes per shard file for --engine sharded "
-                             "(default: 4096)")
-    assess.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                        help="on-disk shard dtype for --engine sharded "
-                             "(float32 halves the footprint; reductions still "
-                             "accumulate in float64)")
     assess.add_argument("--timings", action="store_true",
                         help="report per-site simulation phase timings "
                              "(workload/schedule/trace/power wall seconds; "
@@ -611,13 +599,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         overrides["per_server_kgco2"] = args.per_server_kg
     if args.amortization is not None:
         overrides["amortization"] = args.amortization
-    # The spec rejects shard knobs off the sharded engine.
-    if args.engine is not None:
-        overrides["engine"] = args.engine
-    if args.shard_nodes is not None:
-        overrides["shard_nodes"] = args.shard_nodes
-    if args.dtype is not None:
-        overrides["shard_dtype"] = args.dtype
     try:
         spec = spec.replace(**overrides) if overrides else spec
         if sweep_axes is not None:

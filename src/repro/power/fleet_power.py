@@ -198,12 +198,9 @@ class ShardedPowerBreakdownTrace:
     consume — covered-site series, total series, per-node energies — as a
     streaming contraction ``sum_i c_i (a_i + b_i u_i(t))`` over one shard's
     memmap at a time.  No power matrix (and no dense utilisation matrix)
-    ever exists in memory; peak footprint is one shard.
-
-    Accumulation is always float64, whatever the shard storage dtype:
-    numpy's matmul promotes a float32 memmap block against the float64
-    coefficient vectors, so opt-in float32 *storage* halves the disk/page
-    footprint without compounding reduction error.
+    ever exists in memory; peak footprint is one shard.  The sums run in
+    a different order from the dense trace's, so the two agree to ≤1e-9
+    relative, not bit for bit.
     """
 
     __slots__ = ("_store", "_model", "_series_cache")
@@ -268,11 +265,8 @@ class ShardedPowerBreakdownTrace:
         a, b = self._model.affine(scope)
         slope = b[:, 0] if coverage is None else coverage * b[:, 0]
         values = np.zeros(self.sample_count, dtype=np.float64)
-        for lo, hi, stored in self._store.iter_shards():
-            if self._store.layout == "interval-major":
-                values += stored @ slope[lo:hi]
-            else:
-                values += slope[lo:hi] @ stored
+        for lo, hi, shard in self._store.iter_shards():
+            values += slope[lo:hi] @ shard
         if coverage is None:
             values += a.sum()
         else:
@@ -311,9 +305,8 @@ class ShardedPowerBreakdownTrace:
         self._check_scope(scope)
         a, b = self._model.affine(scope)
         row_sums = np.empty(self.node_count, dtype=np.float64)
-        for lo, hi, stored in self._store.iter_shards():
-            axis = 0 if self._store.layout == "interval-major" else 1
-            row_sums[lo:hi] = stored.sum(axis=axis, dtype=np.float64)
+        for lo, hi, shard in self._store.iter_shards():
+            row_sums[lo:hi] = shard.sum(axis=1)
         energies = a[:, 0] * self.sample_count + b[:, 0] * row_sums
         energies *= self.step / JOULES_PER_KWH
         return dict(zip(self._store.node_ids, energies.tolist()))

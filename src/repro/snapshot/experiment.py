@@ -12,6 +12,12 @@ For every configured site, :class:`SnapshotExperiment`:
 5. collects the per-node utilisation needed by the utilisation-aware
    amortisation policies.
 
+Where the utilisation matrix lives is decided per site by size, not by a
+setting: a site whose float64 matrix would exceed
+:data:`DENSE_TRACE_LIMIT_BYTES` (see :func:`out_of_core`) streams node-axis
+shards from disk instead of holding the matrix in memory.  Every default
+IRIS site is far below the limit.
+
 The combined :class:`SnapshotResult` then exposes the Table 2 rows, the
 active-energy input for the carbon model, the embodied asset list, and
 convenience evaluations of the scenario grids (Tables 3 and 4).
@@ -48,19 +54,31 @@ from repro.timeseries.series import TimeSeries
 from repro.units.constants import JOULES_PER_KWH
 from repro.units.quantities import CarbonIntensity, Duration
 from repro.workload.cluster import SimulatedCluster, SimulatedNode
-from repro.workload.fleet import (
-    SHARD_DTYPES,
-    SHARD_LAYOUTS,
-    FleetUtilization,
-    ShardedFleetUtilization,
-)
+from repro.workload.fleet import FleetUtilization, ShardedFleetUtilization
 from repro.workload.jobs import JobGenerator, WorkloadProfile
 from repro.workload.scheduler import BackfillScheduler, SchedulerStatistics
 
-#: Substrates the experiment accepts: the dense in-memory ``columnar``
-#: default and the out-of-core ``sharded`` substrate, which never
-#: materialises the dense fleet matrix.
-EXPERIMENT_ENGINES = ("columnar", "sharded")
+#: Largest float64 utilisation matrix one site holds in memory (256 MiB).
+#: A bigger site is simulated out of core, and its shards are sized to
+#: this budget.  At the default settings the largest full-scale IRIS site
+#: (DUR, 876 nodes x 1,440 samples) needs 9.6 MiB.
+DENSE_TRACE_LIMIT_BYTES = 256 * 1024 * 1024
+
+_FLOAT64_BYTES = 8
+
+
+def _sample_count(config: SnapshotConfig) -> int:
+    return int(round(config.duration_s / config.trace_step_s))
+
+
+def out_of_core(site: SiteSnapshotConfig, config: SnapshotConfig) -> bool:
+    """Whether ``site``'s utilisation matrix exceeds the in-memory limit.
+
+    Depends only on the physical configuration, so one physical key always
+    gets the same substrate.
+    """
+    return (site.node_count * _sample_count(config) * _FLOAT64_BYTES
+            > DENSE_TRACE_LIMIT_BYTES)
 
 
 @dataclass(frozen=True)
@@ -313,73 +331,47 @@ class SnapshotExperiment:
     declarative spec and caches its (expensive) output across scenario
     evaluations.
 
+    Each site runs on the dense in-memory substrate
+    (:class:`~repro.workload.fleet.FleetUtilization` +
+    :meth:`~repro.power.traces.PowerBreakdownTrace.from_utilization`)
+    unless :func:`out_of_core` says its matrix is too big; then it runs on
+    the out-of-core substrate
+    (:class:`~repro.workload.fleet.ShardedFleetUtilization` +
+    :class:`~repro.power.fleet_power.ShardedPowerBreakdownTrace`), which
+    streams node-axis shards of at most :data:`DENSE_TRACE_LIMIT_BYTES`
+    from disk and agrees with the dense path to ≤1e-9.
+
     Parameters
     ----------
     config / catalog:
         Snapshot configuration and hardware catalog (paper defaults).
-    engine:
-        ``"columnar"`` (default) runs the vectorised array-first substrate
-        (:class:`~repro.workload.fleet.FleetUtilization` +
-        :meth:`~repro.power.traces.PowerBreakdownTrace.from_utilization`);
-        ``"sharded"`` runs the out-of-core substrate
-        (:class:`~repro.workload.fleet.ShardedFleetUtilization` +
-        :class:`~repro.power.fleet_power.ShardedPowerBreakdownTrace`),
-        which streams node-axis shards from disk and never holds the dense
-        fleet matrix, so full-scale fleets run in bounded memory.
     max_workers:
         Number of sites simulated concurrently by :meth:`run` on a thread
         pool.  1 runs sequentially, ``None`` uses one worker per site
         capped at the CPU count.
-    shard_nodes / shard_dtype / shard_layout:
-        Sharded-engine tuning: nodes per shard file, on-disk storage dtype
-        (``float32`` halves the footprint; reductions still accumulate in
-        float64) and shard orientation (``interval-major`` stores the
-        transpose so the per-sample contraction reads contiguous memory).
-        Ignored by the dense engine.
     shard_dir / shard_key:
-        Where the sharded engine keeps its per-site shard directories, and
-        the content key recorded in (and checked against) each directory's
+        Where out-of-core sites keep their shard directories, and the
+        content key recorded in (and checked against) each directory's
         manifest — pass the physical-spec digest so a directory built for
         the same physical configuration is reused instead of rebuilt.
-        Without ``shard_dir`` each site uses a private temporary directory,
-        removed as soon as the site's reductions are done.
+        Without ``shard_dir`` each such site uses a private temporary
+        directory, removed as soon as the site's reductions are done.
+        Dense sites ignore both.
     """
 
     def __init__(
         self,
         config: Optional[SnapshotConfig] = None,
         catalog: Optional[HardwareCatalog] = None,
-        engine: str = "columnar",
         max_workers: Optional[int] = 1,
-        shard_nodes: int = 4096,
-        shard_dtype: str = "float64",
-        shard_layout: str = "node-major",
         shard_dir: Optional[Union[str, Path]] = None,
         shard_key: Optional[str] = None,
     ):
-        if engine not in EXPERIMENT_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(EXPERIMENT_ENGINES)}")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1 (or None)")
-        if shard_nodes < 1:
-            raise ValueError("shard_nodes must be at least 1")
-        if shard_dtype not in SHARD_DTYPES:
-            raise ValueError(
-                f"unknown shard dtype {shard_dtype!r}; expected one of "
-                f"{', '.join(SHARD_DTYPES)}")
-        if shard_layout not in SHARD_LAYOUTS:
-            raise ValueError(
-                f"unknown shard layout {shard_layout!r}; expected one of "
-                f"{', '.join(SHARD_LAYOUTS)}")
         self._config = config or build_iris_snapshot_config()
         self._catalog = catalog or default_catalog()
-        self._engine = engine
         self._max_workers = max_workers
-        self._shard_nodes = shard_nodes
-        self._shard_dtype = shard_dtype
-        self._shard_layout = shard_layout
         self._shard_dir = Path(shard_dir) if shard_dir is not None else None
         self._shard_key = shard_key
 
@@ -390,10 +382,6 @@ class SnapshotExperiment:
     @property
     def catalog(self) -> HardwareCatalog:
         return self._catalog
-
-    @property
-    def engine(self) -> str:
-        return self._engine
 
     # -- per-site pieces -----------------------------------------------------------------
 
@@ -477,7 +465,7 @@ class SnapshotExperiment:
         cluster = self._build_cluster(node_ids, specs)
         duration_s = config.duration_s
         warmup_s = config.warmup_hours * 3600.0
-        sharded = self._engine == "sharded"
+        sharded = out_of_core(site, config)
         timings: Dict[str, float] = {}
 
         if target_utilization > 0.0:
@@ -512,9 +500,9 @@ class SnapshotExperiment:
             timings["schedule_s"] = 0.0
             if not sharded:
                 t_phase = time.perf_counter()
-                n_samples = int(round(duration_s / config.trace_step_s))
                 trace = FleetUtilization.constant(0.0, config.trace_step_s,
-                                                  node_ids, n_samples, 0.0)
+                                                  node_ids,
+                                                  _sample_count(config), 0.0)
                 timings["trace_s"] = time.perf_counter() - t_phase
 
         models = [NodePowerModel(spec) for spec in specs]
@@ -530,9 +518,8 @@ class SnapshotExperiment:
                     duration_s,
                     shard_dir,
                     step_s=config.trace_step_s,
-                    shard_nodes=self._shard_nodes,
-                    dtype=self._shard_dtype,
-                    layout=self._shard_layout,
+                    shard_nodes=max(1, DENSE_TRACE_LIMIT_BYTES
+                                    // (_FLOAT64_BYTES * _sample_count(config))),
                     key=self._shard_key,
                 )
                 timings["trace_s"] = time.perf_counter() - t_phase
@@ -605,5 +592,5 @@ class SnapshotExperiment:
         return SnapshotResult(config=self._config, site_results=tuple(results))
 
 
-__all__ = ["EXPERIMENT_ENGINES", "SnapshotExperiment", "SnapshotResult",
-           "SiteSnapshotResult"]
+__all__ = ["DENSE_TRACE_LIMIT_BYTES", "SnapshotExperiment", "SnapshotResult",
+           "SiteSnapshotResult", "out_of_core"]

@@ -30,16 +30,18 @@ nodes × intervals) with no Python-level loop over placements.
 :class:`ShardedFleetUtilization` is the out-of-core sibling for fleets
 whose dense ``(n_nodes, n_intervals)`` matrix does not fit in RAM (the
 full-scale year-long campaigns of the ROADMAP: 100k+ nodes × 8760 hourly
-intervals ≈ 7 GB per matrix).  The node axis is partitioned into fixed-size
+intervals ≈ 7 GB per matrix).  The snapshot experiment uses it for every
+site whose matrix would exceed
+:data:`repro.snapshot.experiment.DENSE_TRACE_LIMIT_BYTES`.  The node axis is partitioned into fixed-size
 shards, each built with the same vectorised placement math and written to
 its own ``.npy`` file; shards are re-opened as read-only memmaps, so any
 consumer streams one shard's worth of data at a time and the dense matrix
 never exists in memory.  A shard directory is self-describing — a
 ``manifest.json`` records the format version
 (:data:`SHARD_FORMAT_VERSION`), the content key (the substrate cache's
-physical-spec digest), the sampling grid, the shard geometry and the
-storage dtype/layout — and a directory whose manifest matches is reused
-instead of rebuilt.
+physical-spec digest), the sampling grid and the shard geometry — and a
+directory whose manifest matches is reused instead of rebuilt.  Shards are
+always float64 and node-major, so a shard row is a dense-matrix row.
 """
 
 from __future__ import annotations
@@ -61,20 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bump when the on-disk shard layout changes; mismatched directories are
 #: rebuilt from scratch (the same discipline as
 #: :data:`repro.api.persistence.SNAPSHOT_CACHE_VERSION`).
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
 
 #: Name of the shard directory's self-description file.
 SHARD_MANIFEST_NAME = "manifest.json"
-
-#: On-disk dtypes a shard store may use.  Storage in ``float32`` halves the
-#: footprint; every consumer accumulates in float64 regardless.
-SHARD_DTYPES = ("float64", "float32")
-
-#: Physical layouts of one shard file: ``node-major`` stores the shard as
-#: ``(shard_nodes, n_samples)`` (rows are nodes, like the dense matrix);
-#: ``interval-major`` stores the transpose, which makes the per-sample
-#: contraction read contiguous memory.
-SHARD_LAYOUTS = ("node-major", "interval-major")
 
 
 def _placement_arrays(
@@ -319,14 +311,12 @@ class ShardedFleetUtilization:
     shard directory and :meth:`ShardedFleetUtilization.open` to re-open an
     existing one.
 
-    Shard files are float32 or float64 (``dtype``), node-major or
-    interval-major (``layout``); consumers must accumulate reductions in
-    float64 regardless of the storage dtype.
+    Each shard file holds a float64 ``(shard_nodes, n_samples)`` block:
+    rows are nodes, exactly as in the dense matrix.
     """
 
     __slots__ = ("_directory", "_start", "_step", "_node_ids", "_n_samples",
-                 "_shard_nodes", "_dtype", "_layout", "_bounds", "_files",
-                 "_row_index", "_key")
+                 "_shard_nodes", "_bounds", "_files", "_row_index", "_key")
 
     def __init__(self, directory: Union[str, Path], manifest: Dict[str, object]):
         self._directory = Path(directory)
@@ -339,13 +329,7 @@ class ShardedFleetUtilization:
         self._node_ids: List[str] = list(manifest["node_ids"])
         self._n_samples = int(manifest["n_samples"])
         self._shard_nodes = int(manifest["shard_nodes"])
-        self._dtype = str(manifest["dtype"])
-        self._layout = str(manifest["layout"])
         self._key = manifest.get("key")
-        if self._dtype not in SHARD_DTYPES:
-            raise ValueError(f"unknown shard dtype {self._dtype!r}")
-        if self._layout not in SHARD_LAYOUTS:
-            raise ValueError(f"unknown shard layout {self._layout!r}")
         if self._step <= 0 or self._n_samples <= 0 or self._shard_nodes <= 0:
             raise ValueError("shard manifest geometry must be positive")
         self._bounds = _shard_bounds(len(self._node_ids), self._shard_nodes)
@@ -368,8 +352,6 @@ class ShardedFleetUtilization:
         step_s: float = 60.0,
         start_s: float = 0.0,
         shard_nodes: int = 4096,
-        dtype: str = "float64",
-        layout: str = "node-major",
         key: Optional[str] = None,
     ) -> "ShardedFleetUtilization":
         """Build the shard directory from placements, one shard in RAM at a time.
@@ -393,14 +375,6 @@ class ShardedFleetUtilization:
             raise ValueError("duration_s must cover at least one sample")
         if shard_nodes < 1:
             raise ValueError("shard_nodes must be at least 1")
-        if dtype not in SHARD_DTYPES:
-            raise ValueError(
-                f"unknown shard dtype {dtype!r}; expected one of "
-                f"{', '.join(SHARD_DTYPES)}")
-        if layout not in SHARD_LAYOUTS:
-            raise ValueError(
-                f"unknown shard layout {layout!r}; expected one of "
-                f"{', '.join(SHARD_LAYOUTS)}")
         n_nodes = len(node_ids)
         cores = np.asarray(node_cores, dtype=np.float64)
         if cores.shape != (n_nodes,):
@@ -411,7 +385,7 @@ class ShardedFleetUtilization:
         directory = Path(directory)
         if key is not None:
             existing = cls._reusable(directory, node_ids, start_s, step_s,
-                                     n_samples, shard_nodes, dtype, layout, key)
+                                     n_samples, shard_nodes, key)
             if existing is not None:
                 return existing
         directory.mkdir(parents=True, exist_ok=True)
@@ -430,10 +404,6 @@ class ShardedFleetUtilization:
             block = _accumulate_matrix(
                 (node_idx[sel] - lo, t0[sel], t1[sel], weight[sel]),
                 hi - lo, n_samples, step_s, start_s, cores[lo:hi])
-            if layout == "interval-major":
-                block = np.ascontiguousarray(block.T)
-            if dtype == "float32":
-                block = block.astype(np.float32)
             name = f"shard_{index:05d}.npy"
             _atomic_save_array(directory / name, block)
             shard_files.append(name)
@@ -446,8 +416,6 @@ class ShardedFleetUtilization:
             "step": step_s,
             "n_samples": n_samples,
             "shard_nodes": shard_nodes,
-            "dtype": dtype,
-            "layout": layout,
             "node_ids": list(node_ids),
             "shards": shard_files,
         }
@@ -465,13 +433,13 @@ class ShardedFleetUtilization:
 
     @classmethod
     def _reusable(cls, directory: Path, node_ids: Sequence[str], start_s: float,
-                  step_s: float, n_samples: int, shard_nodes: int, dtype: str,
-                  layout: str, key: str) -> Optional["ShardedFleetUtilization"]:
+                  step_s: float, n_samples: int, shard_nodes: int,
+                  key: str) -> Optional["ShardedFleetUtilization"]:
         """An existing shard store matching the requested build, or ``None``.
 
-        Any mismatch — version skew, different key, different geometry or
-        storage parameters, unreadable manifest, missing shard file — is a
-        rebuild, never an error.
+        Any mismatch — version skew, different key, different geometry,
+        unreadable manifest, missing shard file — is a rebuild, never an
+        error.
         """
         try:
             store = cls.open(directory)
@@ -484,8 +452,6 @@ class ShardedFleetUtilization:
                 and store._step == step_s
                 and store._n_samples == n_samples
                 and store._shard_nodes == shard_nodes
-                and store._dtype == dtype
-                and store._layout == layout
                 and all(path.exists() for path in store._files)):
             return store
         return None
@@ -541,14 +507,6 @@ class ShardedFleetUtilization:
     def shard_count(self) -> int:
         return len(self._bounds)
 
-    @property
-    def dtype(self) -> str:
-        return self._dtype
-
-    @property
-    def layout(self) -> str:
-        return self._layout
-
     # -- shard access -----------------------------------------------------------------
 
     def shard_bounds(self, index: int) -> Tuple[int, int]:
@@ -556,37 +514,28 @@ class ShardedFleetUtilization:
         return self._bounds[index]
 
     def shard_array(self, index: int) -> np.ndarray:
-        """One shard as a read-only memmap, in its *stored* orientation.
-
-        Node-major shards have shape ``(hi - lo, n_samples)``;
-        interval-major shards ``(n_samples, hi - lo)``.  Consumers decide
-        how to contract without forcing a transposed copy.
-        """
+        """One shard as a read-only ``(hi - lo, n_samples)`` memmap."""
         return np.load(self._files[index], mmap_mode="r")
 
     def iter_shards(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield ``(lo, hi, stored_array)`` for every shard, in node order."""
+        """Yield ``(lo, hi, shard_array)`` for every shard, in node order."""
         for index, (lo, hi) in enumerate(self._bounds):
             yield lo, hi, self.shard_array(index)
-
-    def _node_major(self, stored: np.ndarray) -> np.ndarray:
-        return stored.T if self._layout == "interval-major" else stored
 
     # -- streaming reductions ----------------------------------------------------------
 
     def mean_per_node(self) -> np.ndarray:
         """Time-averaged utilisation of each node (float64, streamed)."""
         out = np.empty(self.node_count, dtype=np.float64)
-        for lo, hi, stored in self.iter_shards():
-            axis = 0 if self._layout == "interval-major" else 1
-            out[lo:hi] = stored.mean(axis=axis, dtype=np.float64)
+        for lo, hi, shard in self.iter_shards():
+            out[lo:hi] = shard.mean(axis=1)
         return out
 
     def mean_utilization(self) -> float:
-        """Overall space-time average utilisation (float64 accumulation)."""
+        """Overall space-time average utilisation."""
         total = 0.0
-        for _, _, stored in self.iter_shards():
-            total += float(stored.sum(dtype=np.float64))
+        for _, _, shard in self.iter_shards():
+            total += float(shard.sum())
         return total / (self.node_count * self._n_samples)
 
     def busy_core_seconds(self, node_cores: Sequence[int]) -> float:
@@ -595,10 +544,8 @@ class ShardedFleetUtilization:
         if cores.shape != (self.node_count,):
             raise ValueError("node_cores must have one entry per node")
         total = 0.0
-        for lo, hi, stored in self.iter_shards():
-            axis = 0 if self._layout == "interval-major" else 1
-            total += float(stored.sum(axis=axis, dtype=np.float64)
-                           @ cores[lo:hi])
+        for lo, hi, shard in self.iter_shards():
+            total += float(shard.sum(axis=1) @ cores[lo:hi])
         return total * self._step
 
     def row_of(self, node_id: str) -> int:
@@ -613,11 +560,8 @@ class ShardedFleetUtilization:
         row = self.row_of(node_id)
         shard = row // self._shard_nodes
         local = row - self._bounds[shard][0]
-        stored = self.shard_array(shard)
-        values = (stored[:, local] if self._layout == "interval-major"
-                  else stored[local])
         return TimeSeries(self._start, self._step,
-                          np.asarray(values, dtype=np.float64))
+                          np.asarray(self.shard_array(shard)[local]))
 
     def to_dense(self) -> FleetUtilization:
         """Materialise the whole fleet as a dense :class:`FleetUtilization`.
@@ -626,8 +570,8 @@ class ShardedFleetUtilization:
         matrix the sharded representation exists to avoid.
         """
         matrix = np.empty((self.node_count, self._n_samples), dtype=np.float64)
-        for lo, hi, stored in self.iter_shards():
-            matrix[lo:hi] = self._node_major(stored)
+        for lo, hi, shard in self.iter_shards():
+            matrix[lo:hi] = shard
         return FleetUtilization(self._start, self._step, self._node_ids, matrix)
 
 
@@ -635,6 +579,4 @@ __all__ = [
     "FleetUtilization",
     "ShardedFleetUtilization",
     "SHARD_FORMAT_VERSION",
-    "SHARD_DTYPES",
-    "SHARD_LAYOUTS",
 ]

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.api import AssessmentSpec, default_spec
+from repro.api.persistence import snapshot_digest
+from repro.api.registry import INVENTORY_SOURCES
+from repro.catalog.store import spec_digest
 
 
 class TestValidation:
@@ -26,6 +29,12 @@ class TestValidation:
         {"grid": ""},
         {"embodied_estimator": ""},
         {"amortization": ""},
+        {"node_scale": True},
+        {"pue": "1.3"},
+        {"shift_hours": None},
+        {"campaign_seed": 1234.5},
+        {"campaign_seed": True},
+        {"campaign_seed": "1234"},
     ])
     def test_invalid_values_rejected(self, changes):
         with pytest.raises(ValueError):
@@ -56,6 +65,23 @@ class TestPhysicalKey:
 
 
 class TestRoundTrip:
+    def test_equal_specs_have_one_address(self):
+        """``1`` and ``1.0`` give one document, one catalog address and one
+        persisted snapshot, not two."""
+        ints = AssessmentSpec.from_dict({
+            "node_scale": 1, "pue": 2, "temporal_resolution_s": 1800,
+            "campaign_seed": 1234.0})
+        floats = AssessmentSpec.from_dict({
+            "node_scale": 1.0, "pue": 2.0, "temporal_resolution_s": 1800.0,
+            "campaign_seed": 1234})
+        assert ints == floats
+        assert (type(ints.node_scale), type(ints.campaign_seed)) == (float, int)
+        assert spec_digest("assess", ints.to_dict()) == \
+            spec_digest("assess", floats.to_dict())
+        factory = INVENTORY_SOURCES.get("iris")
+        assert snapshot_digest(ints.physical_key(), factory) == \
+            snapshot_digest(floats.physical_key(), factory)
+
     def test_dict_round_trip(self):
         spec = default_spec(node_scale=0.25, pue=1.42, per_server_kgco2=800.0,
                             amortization="core-hours")

@@ -322,10 +322,6 @@ class TestEngineSelection:
             columnar.facility_power_series().values,
             oracle.facility_power_series().values, rtol=1e-9)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SnapshotExperiment(engine="warp")
-
     def test_parallel_sites_match_serial(self):
         config = build_iris_snapshot_config(node_scale=0.02)
         serial = SnapshotExperiment(config).run()

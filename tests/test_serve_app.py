@@ -358,8 +358,9 @@ class TestRequestValidation:
     @pytest.mark.parametrize("doc, message", [
         ({"scheduler_engine": "reference"}, "scheduler_engine 'reference'"),
         ({"engine": "oracle"}, "engine 'oracle' was removed"),
+        ({"engine": "sharded"}, "chosen from the fleet size"),
         ({"shard_nodes": 16, "shard_dtype": "float32"},
-         "only apply to engine 'sharded'"),
+         "chosen from the fleet size"),
     ])
     def test_removed_engines_and_stray_shard_fields(self, doc, message):
         app = ServeApp(ServeConfig(workers=1))

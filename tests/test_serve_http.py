@@ -149,13 +149,13 @@ class TestRouting:
         assert status == 400
         assert "bogus" in body["error"]
 
-    def test_shard_fields_on_a_dense_spec_are_400(self, live):
-        """Accepted, they would record the plain spec's substrate under a
-        second catalog address."""
+    def test_removed_shard_fields_are_400(self, live):
+        """Out-of-core storage is chosen from the fleet size, not by the
+        request."""
         status, _, body = live.request(
             "POST", "/assess", _doc(shard_nodes=16, shard_dtype="float32"))
         assert status == 400
-        assert "engine 'sharded'" in body["error"]
+        assert "chosen from the fleet size" in body["error"]
         assert live.source.calls == 0
 
     def test_malformed_request_line_is_400(self, live):

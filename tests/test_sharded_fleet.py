@@ -1,23 +1,28 @@
-"""The out-of-core sharded fleet substrate.
+"""The out-of-core sharded fleet substrate and the size rule that picks it.
 
-Covers the shard store itself (build, reuse, versioning, dtype/layout
-variants), the streaming power contraction against the dense oracle, the
-experiment-level ``sharded`` engine (serial and parallel), and the
-spec/CLI wiring (physical-key extension, default-omitting serialisation).
+Covers the shard store itself (build, reuse, versioning), the streaming
+power contraction against the dense oracle, the size rule
+(:func:`~repro.snapshot.experiment.out_of_core`) and the experiment,
+``Assessment`` and CLI runs it sends out of core (each ≤1e-9 from the
+dense run), and the legacy execution fields older spec documents carry.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from repro.api import default_spec
+from repro.api import Assessment, SubstrateCache, default_spec
+from repro.api.persistence import snapshot_digest
+from repro.api.registry import INVENTORY_SOURCES
 from repro.api.spec import AssessmentSpec
 from repro.power.fleet_power import ShardedPowerBreakdownTrace
 from repro.power.node_power import NodePowerModel
 from repro.power.traces import PowerBreakdownTrace
+from repro.snapshot import experiment
 from repro.snapshot.config import build_iris_snapshot_config
-from repro.snapshot.experiment import EXPERIMENT_ENGINES, SnapshotExperiment
+from repro.snapshot.experiment import SnapshotExperiment, out_of_core
 from repro.workload.cluster import SimulatedCluster, SimulatedNode
 from repro.workload.fleet import (
     SHARD_FORMAT_VERSION,
@@ -31,6 +36,34 @@ from repro.workload.scheduler import BackfillScheduler
 N_NODES = 30
 DURATION_S = 4.0 * 3600.0
 STEP_S = 60.0
+
+#: Samples in the default 24 h snapshot at 60 s.
+SNAPSHOT_SAMPLES = 1440
+
+
+@pytest.fixture
+def limit_nodes(monkeypatch):
+    """Shrink the in-memory limit to ``nodes`` rows of a default snapshot."""
+    def shrink(nodes):
+        monkeypatch.setattr(experiment, "DENSE_TRACE_LIMIT_BYTES",
+                            nodes * SNAPSHOT_SAMPLES * 8)
+    return shrink
+
+
+def assert_matches_dense(dense, sharded):
+    """Every Table 2 figure and the facility series agree to ≤1e-9."""
+    for row_dense, row_sharded in zip(dense.table2_rows(),
+                                      sharded.table2_rows()):
+        assert row_dense["site"] == row_sharded["site"]
+        for method, value in row_dense.items():
+            if isinstance(value, float):
+                assert row_sharded[method] == pytest.approx(
+                    value, rel=1e-9, abs=1e-9), (row_dense["site"], method)
+            else:
+                assert row_sharded[method] == value
+    np.testing.assert_allclose(
+        sharded.facility_power_series().values,
+        dense.facility_power_series().values, rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +90,12 @@ def dense_trace(scheduled):
 
 
 class TestShardStore:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("layout", ["node-major", "interval-major"])
-    def test_matches_dense_builder(self, scheduled, dense_trace, tmp_path,
-                                   dtype, layout):
+    def test_matches_dense_builder(self, scheduled, dense_trace, tmp_path):
         placements, node_ids, cores = scheduled
         store = ShardedFleetUtilization.from_placements(
             placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=7, dtype=dtype, layout=layout)
-        tol = 1e-12 if dtype == "float64" else 1e-6
+            step_s=STEP_S, shard_nodes=7)
+        tol = 1e-12
         np.testing.assert_allclose(store.to_dense().matrix,
                                    dense_trace.matrix, atol=tol)
         np.testing.assert_allclose(store.mean_per_node(),
@@ -76,7 +106,7 @@ class TestShardStore:
                                    dense_trace.node_series("n007").values,
                                    atol=tol)
         assert store.busy_core_seconds(cores) == pytest.approx(
-            dense_trace.busy_core_seconds(cores), rel=max(tol, 1e-12))
+            dense_trace.busy_core_seconds(cores), rel=tol)
         assert store.shard_count == -(-N_NODES // 7)
         assert store.node_count == N_NODES
         assert store.sample_count == dense_trace.sample_count
@@ -147,14 +177,6 @@ class TestShardStore:
 
     def test_invalid_parameters_rejected(self, scheduled, tmp_path):
         placements, node_ids, cores = scheduled
-        with pytest.raises(ValueError, match="dtype"):
-            ShardedFleetUtilization.from_placements(
-                placements, node_ids, cores, DURATION_S, tmp_path,
-                dtype="float16")
-        with pytest.raises(ValueError, match="layout"):
-            ShardedFleetUtilization.from_placements(
-                placements, node_ids, cores, DURATION_S, tmp_path,
-                layout="diagonal")
         with pytest.raises(ValueError, match="shard_nodes"):
             ShardedFleetUtilization.from_placements(
                 placements, node_ids, cores, DURATION_S, tmp_path,
@@ -170,17 +192,15 @@ class TestShardedPowerTrace:
         spec = catalog.node("cpu-compute-standard")
         return [NodePowerModel(spec)] * N_NODES
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("layout", ["node-major", "interval-major"])
     def test_reductions_match_dense_trace(self, scheduled, dense_trace, models,
-                                          tmp_path, dtype, layout):
+                                          tmp_path):
         placements, node_ids, cores = scheduled
         store = ShardedFleetUtilization.from_placements(
             placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=9, dtype=dtype, layout=layout)
+            step_s=STEP_S, shard_nodes=9)
         sharded = ShardedPowerBreakdownTrace(store, models)
         dense = PowerBreakdownTrace.from_utilization(dense_trace, models)
-        rtol = 1e-12 if dtype == "float64" else 1e-6
+        rtol = 1e-12
         rows = np.array([0, 4, 4, 11, N_NODES - 1])
         for scope in ("rapl", "dc", "wall"):
             np.testing.assert_allclose(sharded.total_series(scope).values,
@@ -214,6 +234,43 @@ class TestShardedPowerTrace:
             sharded.total_series("psu")
 
 
+class TestSizeRule:
+    def test_full_scale_default_sites_stay_in_memory(self):
+        config = build_iris_snapshot_config()
+        assert config.duration_s / config.trace_step_s == SNAPSHOT_SAMPLES
+        for site in config.sites:
+            assert not out_of_core(site, config), site.site
+        largest = max(site.node_count for site in config.sites)
+        assert largest * SNAPSHOT_SAMPLES * 8 * 26 < \
+            experiment.DENSE_TRACE_LIMIT_BYTES
+
+    def test_long_window_goes_out_of_core_by_itself(self):
+        config = build_iris_snapshot_config(duration_hours=30 * 24.0)
+        by_site = {site.site: out_of_core(site, config)
+                   for site in config.sites}
+        # DUR: 876 nodes x 43,200 samples x 8 B = 289 MiB.
+        assert [site for site, big in by_site.items() if big] == ["DUR"]
+
+    def test_limit_is_per_site_and_exclusive(self, limit_nodes):
+        config = build_iris_snapshot_config(node_scale=0.05)
+        limit_nodes(6)
+        by_site = {site.site: out_of_core(site, config)
+                   for site in config.sites}
+        assert by_site == {"QMUL": False, "CAM": False, "DUR": True,
+                           "STFC CLOUD": True, "STFC SCARF": True,
+                           "IMP": False}
+
+    def test_shards_are_sized_to_the_limit(self, limit_nodes, tmp_path):
+        config = build_iris_snapshot_config(node_scale=0.05)
+        limit_nodes(5)
+        SnapshotExperiment(config, shard_dir=tmp_path, shard_key="k").run()
+        store = ShardedFleetUtilization.open(tmp_path / "site-DUR")
+        assert store.shard_nodes == 5
+        assert store.shard_count == -(-44 // 5)
+        # Sites under the limit never touch the shard directory.
+        assert not (tmp_path / "site-CAM").exists()
+
+
 class TestShardedEngine:
     @pytest.fixture(scope="class")
     def tiny_config(self):
@@ -221,44 +278,23 @@ class TestShardedEngine:
 
     @pytest.fixture(scope="class")
     def dense_result(self, tiny_config):
-        return SnapshotExperiment(tiny_config, engine="columnar").run()
+        return SnapshotExperiment(tiny_config).run()
 
-    def _assert_matches_dense(self, dense, sharded):
-        for row_dense, row_sharded in zip(dense.table2_rows(),
-                                          sharded.table2_rows()):
-            assert row_dense["site"] == row_sharded["site"]
-            for method, value in row_dense.items():
-                if isinstance(value, float):
-                    assert row_sharded[method] == pytest.approx(
-                        value, rel=1e-9, abs=1e-9), (row_dense["site"], method)
-                else:
-                    assert row_sharded[method] == value
-        np.testing.assert_allclose(
-            sharded.facility_power_series().values,
-            dense.facility_power_series().values, rtol=1e-9)
+    @pytest.fixture
+    def all_out_of_core(self, tiny_config, limit_nodes):
+        limit_nodes(2)
+        assert all(out_of_core(site, tiny_config)
+                   for site in tiny_config.sites)
 
-    def test_sharded_engine_matches_dense(self, tiny_config, dense_result):
-        sharded = SnapshotExperiment(tiny_config, engine="sharded",
-                                     shard_nodes=16).run()
-        self._assert_matches_dense(dense_result, sharded)
+    def test_sharded_engine_matches_dense(self, tiny_config, dense_result,
+                                          all_out_of_core):
+        assert_matches_dense(dense_result,
+                             SnapshotExperiment(tiny_config).run())
 
-    def test_float32_interval_major_within_tolerance(self, tiny_config,
-                                                     dense_result):
-        sharded = SnapshotExperiment(
-            tiny_config, engine="sharded", shard_nodes=16,
-            shard_dtype="float32", shard_layout="interval-major").run()
-        # The instruments quantise facility energy, so Table 2 absorbs the
-        # float32 storage error entirely at this scale; the raw power
-        # series agrees to float32 resolution.
-        np.testing.assert_allclose(
-            sharded.facility_power_series().values,
-            dense_result.facility_power_series().values, rtol=1e-5)
-
-    def test_process_pool_run_identical_to_serial(self, tiny_config):
-        serial = SnapshotExperiment(tiny_config, engine="sharded",
-                                    shard_nodes=16).run()
-        pooled = SnapshotExperiment(tiny_config, engine="sharded",
-                                    shard_nodes=16).run(max_workers=3)
+    def test_process_pool_run_identical_to_serial(self, tiny_config,
+                                                  all_out_of_core):
+        serial = SnapshotExperiment(tiny_config).run()
+        pooled = SnapshotExperiment(tiny_config).run(max_workers=3)
         assert [r.site for r in pooled.site_results] == \
             [r.site for r in serial.site_results]
         np.testing.assert_array_equal(
@@ -269,26 +305,53 @@ class TestShardedEngine:
             assert a.mean_utilization == b.mean_utilization
 
     def test_persistent_shard_dir_populated_and_reused(self, tiny_config,
+                                                       all_out_of_core,
                                                        tmp_path):
-        experiment = SnapshotExperiment(
-            tiny_config, engine="sharded", shard_nodes=16,
-            shard_dir=tmp_path, shard_key="digest-x")
-        first = experiment.run()
+        runner = SnapshotExperiment(
+            tiny_config, shard_dir=tmp_path, shard_key="digest-x")
+        first = runner.run()
         site_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert site_dirs == sorted(
             f"site-{site.site}" for site in tiny_config.sites)
         mtimes = {p: (p / SHARD_MANIFEST_NAME).stat().st_mtime_ns
                   for p in tmp_path.iterdir()}
-        second = experiment.run()
+        second = runner.run()
         # Matching manifests mean the shards were served, not rebuilt.
         for p, mtime in mtimes.items():
             assert (p / SHARD_MANIFEST_NAME).stat().st_mtime_ns == mtime
         assert second.total_best_estimate_kwh == first.total_best_estimate_kwh
 
-    def test_unknown_engine_rejected(self, tiny_config):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SnapshotExperiment(tiny_config, engine="chunked")
-        assert "sharded" in EXPERIMENT_ENGINES
+
+class TestPersistedOutOfCore:
+    def test_assessment_matches_dense_under_its_own_digest(self, limit_nodes,
+                                                           tmp_path):
+        spec = default_spec(node_scale=0.02)
+        dense = Assessment.from_spec(
+            spec, substrates=SubstrateCache(persist_dir=tmp_path / "dense")
+        ).run().snapshot
+        limit_nodes(1)
+        cache_dir = tmp_path / "cache"
+        sharded = Assessment.from_spec(
+            spec, substrates=SubstrateCache(persist_dir=cache_dir)
+        ).run().snapshot
+        assert_matches_dense(dense, sharded)
+
+        factory = INVENTORY_SOURCES.get(spec.inventory)
+        dense_digest = snapshot_digest(spec.physical_key(), factory)
+        digest = snapshot_digest(spec.physical_key() + ("out-of-core",),
+                                 factory)
+        assert digest != dense_digest
+        assert (tmp_path / "dense" / f"{dense_digest}.npz").exists()
+        assert [p.stem for p in cache_dir.glob("*.npz")] == [digest]
+        assert sorted(p.name for p in (cache_dir / "shards" / digest)
+                      .iterdir()) == sorted(
+            f"site-{site}" for site in ("QMUL", "CAM", "DUR", "STFC CLOUD",
+                                        "STFC SCARF", "IMP"))
+
+        reloaded = SubstrateCache(persist_dir=cache_dir)
+        assert reloaded.snapshot(spec).total_best_estimate_kwh == \
+            sharded.total_best_estimate_kwh
+        assert (reloaded.snapshot_loads, reloaded.snapshot_runs) == (1, 0)
 
 
 class TestSpecWiring:
@@ -301,73 +364,62 @@ class TestSpecWiring:
         assert "shard_dtype" not in data
         assert AssessmentSpec.from_dict(data) == spec
 
-    def test_sharded_spec_extends_key_and_round_trips(self):
-        spec = default_spec(node_scale=0.25, engine="sharded",
-                            shard_nodes=512, shard_dtype="float32")
-        key = spec.physical_key()
-        assert key[:5] == ("iris", 0.25, 24.0, 60.0, 1234)
-        assert ("engine", "sharded") == key[5:7]
-        assert key[7:] == (512, "float32")
-        data = spec.to_dict()
-        assert data["engine"] == "sharded"
-        assert data["shard_nodes"] == 512
-        assert data["shard_dtype"] == "float32"
-        assert AssessmentSpec.from_dict(data) == spec
-
-    @pytest.mark.parametrize("knobs", [
-        dict(shard_nodes=16), dict(shard_dtype="float32"),
-        dict(shard_nodes=16, shard_dtype="float32"),
-    ])
-    def test_shard_fields_require_sharded_engine(self, knobs):
-        """A dense spec carrying shard knobs would share the plain spec's
-        physical key (one substrate) but serialise differently (a second
-        catalog address), so it is rejected outright."""
-        with pytest.raises(ValueError, match="only apply to engine 'sharded'"):
-            default_spec(node_scale=0.02, **knobs)
-        with pytest.raises(ValueError, match="only apply to engine 'sharded'"):
-            AssessmentSpec.from_dict(dict(node_scale=0.02, **knobs))
-        assert default_spec(node_scale=0.02, engine="sharded",
-                            **knobs).to_dict()["engine"] == "sharded"
+    def test_legacy_default_execution_fields_are_dropped(self):
+        spec = default_spec(node_scale=0.25)
+        legacy = dict(spec.to_dict(), engine="columnar", shard_nodes=4096,
+                      shard_dtype="float64")
+        assert AssessmentSpec.from_dict(legacy) == spec
+        assert AssessmentSpec.from_dict(legacy).to_dict() == spec.to_dict()
 
     def test_legacy_oracle_engine_rejected(self):
         with pytest.raises(ValueError, match="engine 'oracle' was removed"):
             AssessmentSpec.from_dict({"node_scale": 0.25, "engine": "oracle"})
 
     def test_invalid_engine_fields_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            default_spec(engine="chunked")
-        with pytest.raises(ValueError, match="shard_nodes"):
-            default_spec(shard_nodes=0)
-        with pytest.raises(ValueError, match="shard_dtype"):
-            default_spec(shard_dtype="float16")
+        for field, value in (("engine", "sharded"), ("engine", "chunked"),
+                             ("shard_nodes", 16), ("shard_nodes", 0),
+                             ("shard_dtype", "float32"),
+                             ("shard_dtype", "float16")):
+            with pytest.raises(ValueError,
+                               match=f"{field} .* chosen from the fleet size"):
+                AssessmentSpec.from_dict({"node_scale": 0.25, field: value})
 
 
 class TestCliWiring:
-    def test_engine_flags_reach_the_spec(self, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "out.json"
-        code = main(["assess", "--scale", "0.02", "--engine", "sharded",
-                     "--shard-nodes", "8", "--dtype", "float32",
-                     "--format", "json", "--output", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["spec"]["engine"] == "sharded"
-        assert payload["spec"]["shard_nodes"] == 8
-        assert payload["spec"]["shard_dtype"] == "float32"
-        assert payload["summary"]["total_kg"] > 0
-
-    @pytest.mark.parametrize("argv", [
-        ["assess", "--scale", "0.02", "--shard-nodes", "8"],
-        ["assess", "--scale", "0.02", "--dtype", "float32"],
-        ["assess", "--scale", "0.02", "--engine", "columnar",
-         "--shard-nodes", "8"],
-        ["assess", "--scale", "0.02", "--engine", "sharded",
-         "--shard-nodes", "0"],
+    @pytest.mark.parametrize("flags", [
+        ["--engine", "sharded"], ["--shard-nodes", "8"],
+        ["--dtype", "float32"],
     ])
-    def test_shard_knobs_without_sharded_engine_are_usage_errors(
-            self, argv, capsys):
+    def test_removed_substrate_flags_are_usage_errors(self, flags, capsys):
         from repro.cli import main
 
-        assert main(argv) == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["assess", "--scale", "0.02", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_out_of_core_assess_matches_dense(self, limit_nodes, tmp_path):
+        """``repro assess --scale 0.02 --substrate-cache-dir`` answers with
+        the dense run's summary digest when every site goes out of core,
+        and leaves a shard directory in the cache."""
+        from repro.cli import main
+
+        def assess(name, *extra):
+            out = tmp_path / name
+            assert main(["assess", "--scale", "0.02", "--jobs", "1",
+                         "--format", "json", "--output", str(out),
+                         *extra]) == 0
+            return json.loads(out.read_text())
+
+        def digest(doc):
+            return hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+        dense = assess("dense.json")
+        limit_nodes(1)
+        cache_dir = tmp_path / "substrates"
+        sharded = assess("sharded.json", "--substrate-cache-dir",
+                         str(cache_dir))
+        assert dense["spec"] == sharded["spec"]
+        assert digest(dense["summary"]) == digest(sharded["summary"])
+        assert [p for p in (cache_dir / "shards").iterdir() if p.is_dir()]
