@@ -37,8 +37,7 @@ from repro.snapshot.experiment import SnapshotExperiment, SnapshotResult, SiteSn
 from repro.workload.jobs import JobGenerator, WorkloadProfile
 from repro.workload.scheduler import BackfillScheduler
 
-#: The acceptance bar (measured ~6x on a single-core container; the margin
-#: only widens on wider machines where the BLAS reductions parallelise).
+#: The acceptance bar (measured 6.8x-7.9x on a loaded 2-core VM).
 MIN_SPEEDUP = 5.0
 
 #: Old engine vs new engine agreement on energies and power series.
@@ -123,12 +122,18 @@ def _run_substrate(config, sites, engine: str):
     return SnapshotResult(config=config, site_results=tuple(site_results))
 
 
-def _best_time(fn, repeats: int = TIMING_REPEATS) -> float:
-    best = float("inf")
+def _best_times(fns, repeats: int = TIMING_REPEATS) -> list:
+    """Best wall time of each function, timed in alternating rounds.
+
+    Each round runs every function once, so a burst of load from other
+    processes slows all of them instead of whichever block it landed in.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -155,8 +160,10 @@ def _assert_equivalent(oracle: SnapshotResult, columnar: SnapshotResult):
 def test_bench_fleet_engine_full_scale(scheduled_fleet, tmp_path):
     config, sites = scheduled_fleet
 
-    oracle_s = _best_time(lambda: _run_substrate(config, sites, "oracle"))
-    columnar_s = _best_time(lambda: _run_substrate(config, sites, "columnar"))
+    oracle_s, columnar_s = _best_times([
+        lambda: _run_substrate(config, sites, "oracle"),
+        lambda: _run_substrate(config, sites, "columnar"),
+    ])
     speedup = oracle_s / columnar_s if columnar_s > 0 else float("inf")
 
     oracle = _run_substrate(config, sites, "oracle")

@@ -26,6 +26,8 @@ SHARES = (0.5, 0.3, 0.2)
 #: the shared per-member model/intensity work (typically ~3x measured).
 SPEEDUP_FLOOR = 2.5
 
+TIMING_REPEATS = 3
+
 
 def _portfolio_spec(scale: float) -> PortfolioSpec:
     return PortfolioSpec.from_regions(
@@ -46,20 +48,25 @@ def _naive_assessments(spec: PortfolioSpec) -> list:
 def test_bench_portfolio_vs_naive(tmp_path):
     spec = _portfolio_spec(SCALE)
 
-    start = time.perf_counter()
-    naive_totals = _naive_assessments(spec)
-    naive_s = time.perf_counter() - start
+    # Best of alternating rounds, every round from cold caches: a burst of
+    # load from other processes then slows both sides, not just one.
+    naive_s = portfolio_s = float("inf")
+    for _ in range(TIMING_REPEATS):
+        start = time.perf_counter()
+        naive_totals = _naive_assessments(spec)
+        naive_s = min(naive_s, time.perf_counter() - start)
 
-    cache = SubstrateCache()
-    start = time.perf_counter()
-    result = PortfolioRunner(spec, substrates=cache).run()
-    portfolio_s = time.perf_counter() - start
+        cache = SubstrateCache()
+        start = time.perf_counter()
+        result = PortfolioRunner(spec, substrates=cache).run()
+        portfolio_s = min(portfolio_s, time.perf_counter() - start)
 
-    # Same physics: member for member, the answers agree exactly.
-    assert [member.total_kg for member in result.members] == naive_totals
-    # The primary assertion is structural, not wall-clock: one simulation
-    # backed all three member sites while the naive loop ran three.
-    assert cache.snapshot_runs == 1
+        # Same physics: member for member, the answers agree exactly.
+        assert [member.total_kg for member in result.members] == naive_totals
+        # The primary assertion is structural, not wall-clock: one
+        # simulation backed all three member sites while the naive loop
+        # ran three.
+        assert cache.snapshot_runs == 1
     speedup = naive_s / portfolio_s if portfolio_s > 0 else float("inf")
     assert speedup >= SPEEDUP_FLOOR, (
         f"portfolio run ({portfolio_s:.2f}s) not meaningfully faster than "

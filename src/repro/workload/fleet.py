@@ -134,29 +134,34 @@ def _accumulate_matrix(
     edge_first = start_s + step_s * (first + 1.0)  # end of first interval
     edge_last = start_s + step_s * last            # start of last interval
 
-    acc = matrix.reshape(-1)
+    flat = matrix.reshape(-1)
     single = first == last
     multi = ~single
-    # Placements confined to one interval: pro-rate by covered fraction.
-    if single.any():
-        frac = (t1[single] - t0[single]) / step_s
-        np.add.at(acc, node_idx[single] * n_samples + first[single],
-                  weight[single] * frac)
-    if multi.any():
-        m_idx, m_first, m_last = node_idx[multi], first[multi], last[multi]
-        m_w = weight[multi]
-        # Partial first and last intervals.
-        np.add.at(acc, m_idx * n_samples + m_first,
-                  m_w * (edge_first[multi] - t0[multi]) / step_s)
-        np.add.at(acc, m_idx * n_samples + m_last,
-                  m_w * (t1[multi] - edge_last[multi]) / step_s)
-        # Fully covered run [first+1, last): boundary deltas, one cumsum.
-        run = np.zeros((n_nodes, n_samples + 1), dtype=np.float64)
-        flat = run.reshape(-1)
-        np.add.at(flat, m_idx * (n_samples + 1) + m_first + 1, m_w)
-        np.add.at(flat, m_idx * (n_samples + 1) + m_last, -m_w)
-        np.cumsum(run, axis=1, out=run)
-        matrix += run[:, :n_samples]
+    m_idx, m_first, m_last = node_idx[multi], first[multi], last[multi]
+    m_w = weight[multi]
+    row = m_idx * n_samples
+    # Fully covered run [first+1, last): boundary deltas, one in-place
+    # cumsum.  ``first < last <= n_samples - 1``, so no delta falls off
+    # the end of a row.
+    if m_idx.size:
+        np.add.at(flat, row + m_first + 1, m_w)
+        np.add.at(flat, row + m_last, -m_w)
+        np.cumsum(matrix, axis=1, out=matrix)
+    # Partially covered intervals: placements confined to one interval,
+    # then the partial first and last intervals of the others, pro-rated
+    # by covered fraction.  They are summed per cell (in this order) and
+    # only then added to the run, so each cell is ``partials + run``.
+    cells = np.concatenate((node_idx[single] * n_samples + first[single],
+                            row + m_first, row + m_last))
+    amounts = np.concatenate((
+        weight[single] * ((t1[single] - t0[single]) / step_s),
+        m_w * (edge_first[multi] - t0[multi]) / step_s,
+        m_w * (t1[multi] - edge_last[multi]) / step_s,
+    ))
+    cells, slot = np.unique(cells, return_inverse=True)
+    partials = np.zeros(cells.size, dtype=np.float64)
+    np.add.at(partials, slot, amounts)
+    flat[cells] += partials
 
     matrix /= cores[:, None]
     np.clip(matrix, 0.0, 1.0, out=matrix)
