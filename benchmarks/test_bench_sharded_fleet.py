@@ -37,6 +37,7 @@ from repro.snapshot.experiment import (
     SnapshotResult,
     out_of_core,
 )
+from repro.workload.fleet import ShardedFleetUtilization
 
 EQUIVALENCE_RTOL = 1e-9
 
@@ -126,7 +127,7 @@ def _assert_equivalent(dense: SnapshotResult, sharded: SnapshotResult):
 
 def test_bench_sharded_engine_full_scale_equivalence(results_dir,
                                                      full_snapshot,
-                                                     tmp_path, monkeypatch):
+                                                     monkeypatch):
     """Full IRIS fleet: sharded == dense on every reported figure."""
     config = build_iris_snapshot_config()
     # 32-node shards: every site (the smallest has 59 nodes) goes out of
@@ -134,15 +135,25 @@ def test_bench_sharded_engine_full_scale_equivalence(results_dir,
     monkeypatch.setattr(experiment, "DENSE_TRACE_LIMIT_BYTES",
                         32 * NODE_ROW_BYTES)
     assert all(out_of_core(site, config) for site in config.sites)
-    sharded = SnapshotExperiment(config, shard_dir=tmp_path,
-                                 shard_key="bench-full-scale").run()
+    # Each site's store is scratch, removed once its reductions are done,
+    # so it is measured as it is built.
+    store_bytes = []
+    build = ShardedFleetUtilization.from_placements.__func__
+
+    def measured(cls, *args, **kwargs):
+        store = build(cls, *args, **kwargs)
+        store_bytes.append(sum(path.stat().st_size
+                               for path in store.directory.iterdir()))
+        return store
+
+    monkeypatch.setattr(ShardedFleetUtilization, "from_placements",
+                        classmethod(measured))
+    sharded = SnapshotExperiment(config).run()
     _assert_equivalent(full_snapshot, sharded)
     assert sharded.total_nodes == 2462
+    assert len(store_bytes) == len(config.sites)
 
-    shard_bytes = sum(
-        path.stat().st_size
-        for site_dir in tmp_path.iterdir()
-        for path in site_dir.iterdir())
+    shard_bytes = sum(store_bytes)
     write_json(results_dir / "bench_sharded_fleet.json", {
         "total_nodes": sharded.total_nodes,
         "total_best_estimate_kwh": sharded.total_best_estimate_kwh,
@@ -200,13 +211,12 @@ def test_bench_sharded_engine_bounded_memory(tmp_path):
           f"{OOM_EXIT_CODE}); sharded peaked at {peak_bytes / 1e6:.0f} MB")
 
 
-def test_sharded_engine_smoke_tiny_scale(tmp_path, monkeypatch):
+def test_sharded_engine_smoke_tiny_scale(monkeypatch):
     """CI smoke: sharded and dense agree end to end at a tiny fleet scale."""
     config = build_iris_snapshot_config(node_scale=0.02)
     dense = SnapshotExperiment(config).run()
     monkeypatch.setattr(experiment, "DENSE_TRACE_LIMIT_BYTES", NODE_ROW_BYTES)
     assert all(out_of_core(site, config) for site in config.sites)
-    sharded = SnapshotExperiment(config, shard_dir=tmp_path,
-                                 shard_key="smoke").run()
+    sharded = SnapshotExperiment(config).run()
     _assert_equivalent(dense, sharded)
     assert sharded.total_best_estimate_kwh > 0

@@ -3,9 +3,10 @@
 The acceptance bar for the uncertainty engine: a 10,000-sample ensemble
 over the paper's input envelope (intensity x PUE x per-server embodied x
 lifetime) must run at least 20x faster through the columnar analysis pass
-than through the per-sample ``Assessment`` loop, while agreeing with it to
-<= 1e-9 relative on every reported quantile — and the workload -> power
-substrate must be simulated exactly once for the whole ensemble.
+than through the per-sample ``Assessment`` loop (the runner's fallback,
+called here directly), while agreeing with it to <= 1e-9 relative on every
+reported quantile — and the workload -> power substrate must be simulated
+exactly once for the whole ensemble.
 
 Run at 2% fleet scale so the oracle side stays affordable; both sides
 share one warmed substrate cache, so the comparison isolates the analysis
@@ -43,22 +44,25 @@ def test_bench_vectorized_vs_oracle(tmp_path):
     assert cache.snapshot_runs == 1
 
     start = time.perf_counter()
-    oracle = runner.run(n_samples=SAMPLES, seed=SEED, method="oracle")
+    active, embodied = runner._evaluate_oracle(runner.draw(SAMPLES, SEED))
     oracle_s = time.perf_counter() - start
+    oracle = {"active_kg": active, "embodied_kg": embodied,
+              "total_kg": active + embodied}
 
     start = time.perf_counter()
-    vectorized = runner.run(n_samples=SAMPLES, seed=SEED, method="vectorized")
+    vectorized = runner.run(n_samples=SAMPLES, seed=SEED)
     vectorized_s = time.perf_counter() - start
+    assert vectorized.method == "vectorized"
 
     # The substrate was simulated exactly once for the whole ensemble
-    # (both methods, all 20,000 evaluations).
+    # (both paths, all 20,000 evaluations).
     assert cache.snapshot_runs == 1
 
-    # Same seed -> same sample matrix -> the two methods price identical
+    # Same seed -> same sample matrix -> the two paths price identical
     # scenarios; every quantile of every metric must agree to <= 1e-9 rel.
     worst = 0.0
     for metric in ("active_kg", "embodied_kg", "total_kg"):
-        expected = np.quantile(oracle.metric(metric), PROBS)
+        expected = np.quantile(oracle[metric], PROBS)
         actual = np.quantile(vectorized.metric(metric), PROBS)
         rel = np.max(np.abs(actual - expected) / np.abs(expected))
         worst = max(worst, float(rel))
@@ -66,7 +70,7 @@ def test_bench_vectorized_vs_oracle(tmp_path):
             f"{metric} quantiles diverge: {rel:.2e} > {RTOL:.0e} "
             f"({actual} vs {expected})")
     assert (vectorized.probability_embodied_exceeds_active
-            == oracle.probability_embodied_exceeds_active)
+            == float((embodied > active).mean()))
 
     speedup = oracle_s / vectorized_s if vectorized_s > 0 else float("inf")
     assert speedup >= 20.0, (

@@ -506,7 +506,6 @@ class BatchAssessmentRunner:
         *,
         n_samples: int = 1000,
         seed: int = 0,
-        method: str = "auto",
     ):
         """Run a sampled ensemble instead of a cartesian grid.
 
@@ -523,7 +522,7 @@ class BatchAssessmentRunner:
         runner = EnsembleRunner(self._base_spec, distributions,
                                 substrates=self._substrates,
                                 catalog=self._recorder)
-        return runner.run(n_samples=n_samples, seed=seed, method=method)
+        return runner.run(n_samples=n_samples, seed=seed)
 
     def _prepare_snapshots(self, specs: Sequence[AssessmentSpec],
                            kind: str = "assess") -> None:

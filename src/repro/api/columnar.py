@@ -25,8 +25,9 @@ partitions expanded specs into catalog-served points, columnar groups
 caller-supplied key), and per-spec fallback points for scenarios the
 columns cannot absorb (non-linear amortisation, or a named embodied
 estimator without a uniform override) — mirroring the ensemble engine's
-``auto`` method.  :data:`~repro.api.spec.COLUMNAR_SWEEP_FIELDS` lists the
-spec fields the columns absorb.
+own choice between its columnar pass and its per-sample loop.
+:data:`~repro.api.spec.COLUMNAR_SWEEP_FIELDS` lists the spec fields the
+columns absorb.
 """
 
 from __future__ import annotations

@@ -193,8 +193,9 @@ def sweep_stale_entries(directory: Path,
     Only files older than ``max_age_s`` are touched: a *live* writer's
     in-progress tmp files, or an npz renamed moments before its sidecar,
     must be left alone.  The sweep is best-effort housekeeping — every
-    filesystem error is swallowed, and subdirectories (e.g. the
-    out-of-core ``shards/`` stores) are never entered.
+    filesystem error is swallowed, and subdirectories are never entered
+    (a ``shards/`` directory left by versions that kept out-of-core shard
+    stores here is unused and can be deleted by hand).
     """
     directory = Path(directory)
     removed: List[Path] = []

@@ -24,6 +24,7 @@ field: the simulation chooses it from the fleet size (see
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -203,20 +204,29 @@ class AssessmentSpec:
             raise ValueError("defer_fraction must be in [0, 1)")
 
     def _normalise_numbers(self) -> None:
-        """Store floats as ``float`` and the seed as ``int``, rejecting bools.
+        """Store floats as finite ``float`` and the seed as ``int``.
 
         Equal specs must serialise identically: ``1`` and ``1.0`` compare
         equal, but would otherwise give two documents, two catalog
-        addresses and two persisted snapshots.
+        addresses and two persisted snapshots.  Bools, NaN and infinities
+        are rejected: JSON parsers accept ``NaN`` and ``Infinity``, and no
+        range check below can catch a NaN.
         """
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if type(value) is float or (value is None
-                                        and name in _OPTIONAL_FLOAT_FIELDS):
+            if value is None and name in _OPTIONAL_FLOAT_FIELDS:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            if type(value) is not float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} must be a number, got {value!r}")
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ValueError(
+                        f"{name} must be finite, got {value!r}") from None
+                object.__setattr__(self, name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         seed = self.campaign_seed
         if type(seed) is int:
             return

@@ -18,8 +18,9 @@ disk (``.npz`` + JSON sidecar keyed by the spec's physical hash, see
 :mod:`repro.api.persistence`), so a full-scale simulation is paid once per
 machine rather than once per process; ``jobs`` controls how many sites each
 simulation runs concurrently.  Sites too big to simulate in memory (see
-:func:`repro.snapshot.experiment.out_of_core`) keep their shard stores
-under ``<persist_dir>/shards/<digest>/``.
+:func:`repro.snapshot.experiment.out_of_core`) stream shards through a
+temporary directory that is gone once the snapshot is built; only the
+``.npz`` + JSON entry lands in ``persist_dir``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,10 @@ class SubstrateCache:
         configuration with an out-of-core site is digested with an
         ``"out-of-core"`` marker after its physical key: entries written
         before the size rule were all computed in memory, and its sums
-        differ from theirs in floating-point order.
+        differ from theirs in floating-point order.  Out-of-core shard
+        stores are scratch (see
+        :class:`~repro.snapshot.experiment.SnapshotExperiment`) and never
+        touch ``persist_dir``.
         """
         from repro.api.registry import INVENTORY_SOURCES
         from repro.snapshot.experiment import SnapshotExperiment, out_of_core
@@ -230,7 +234,7 @@ class SubstrateCache:
 
         def _run() -> "SnapshotResult":
             config = factory(spec)
-            digest = shard_dir = None
+            digest = None
             if self._persist_dir is not None:
                 from repro.api.persistence import (
                     load_snapshot_result, snapshot_digest)
@@ -244,13 +248,8 @@ class SubstrateCache:
                     with self._lock:
                         self.snapshot_loads += 1
                     return cached
-                # Shard stores live next to the snapshot cache, keyed by
-                # the same digest, so a re-simulation of the same physical
-                # configuration reuses its shards.
-                shard_dir = self._persist_dir / "shards" / digest
             result = SnapshotExperiment(
-                config, catalog=self.catalog(), max_workers=self._jobs,
-                shard_dir=shard_dir, shard_key=digest).run()
+                config, catalog=self.catalog(), max_workers=self._jobs).run()
             with self._lock:
                 self.snapshot_runs += 1
             if digest is not None:

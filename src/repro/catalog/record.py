@@ -256,22 +256,23 @@ class CatalogRecorder:
         return self.run("temporal", temporal.spec.to_dict(),
                         temporal.run_live)
 
-    def run_ensemble(self, runner, *, n_samples: int, seed,
-                     method: str) -> Any:
+    def run_ensemble(self, runner, *, n_samples: int, seed) -> Any:
         """Serve or run one :class:`~repro.uncertainty.ensemble.EnsembleRunner` draw.
 
-        An ensemble is a pure function of (spec, n_samples, seed, resolved
-        method), so all four go into the content address.  The seed must
-        be an int: a live ``numpy.random.Generator`` carries hidden state
-        and cannot be content-addressed.
+        An ensemble is a pure function of (spec, n_samples, seed).  The
+        content address also carries the path the runner takes
+        (``"method"``: ``"vectorized"`` or ``"oracle"``, the per-sample
+        loop), so addresses match those catalogued when the path was a
+        caller's choice.  The seed must be an int: a live
+        ``numpy.random.Generator`` carries hidden state and cannot be
+        content-addressed.
         """
         spec_doc = self._ensemble_spec_doc(
             runner, n_samples=n_samples, seed=seed,
-            method=self._resolve_method(runner, method))
+            method="vectorized" if runner.vectorizable() else "oracle")
         return self.run(
             "uncertainty", spec_doc,
-            lambda: runner.run_live(n_samples=n_samples, seed=seed,
-                                    method=method))
+            lambda: runner.run_live(n_samples=n_samples, seed=seed))
 
     def run_temporal_ensemble(self, runner, *, n_samples: int, seed) -> Any:
         """Serve or run one temporal-ensemble draw (kind ``uncertainty``)."""
@@ -286,18 +287,6 @@ class CatalogRecorder:
         return self.run("portfolio", runner.spec.to_dict(), runner.run_live)
 
     # -- helpers ---------------------------------------------------------------------
-
-    @staticmethod
-    def _resolve_method(runner, method: str) -> str:
-        """The execution path ``method="auto"`` will actually take.
-
-        Resolved *before* hashing so an ``auto`` run and an explicit run
-        of the same path share one content address; an invalid method
-        falls through to the runner's own validation error.
-        """
-        if method == "auto":
-            return "vectorized" if runner.vectorizable() else "oracle"
-        return method
 
     @staticmethod
     def _ensemble_spec_doc(runner, *, n_samples: int, seed,

@@ -19,9 +19,8 @@ any Python:
     Print the Figure 1 synthetic GB grid-intensity summary (and optionally
     the text chart).
 ``snapshot``
-    Run the simulated IRIS measurement campaign (Table 2) and the carbon
-    model, optionally writing the regenerated tables to CSV.  Delegates to
-    the same :mod:`repro.api` pipeline as ``assess``.
+    An alias of ``assess``, kept for the simulated IRIS measurement
+    campaign (Table 2) and carbon model workflow it used to name.
 ``scenarios``
     Print the Table 3 (active) and Table 4 (embodied) scenario grids for a
     given energy total and fleet size.
@@ -47,7 +46,10 @@ any Python:
 
 Scenario arguments are validated at parse time (``--scale`` in (0, 1],
 ``--pue`` >= 1.0) so mistakes produce a one-line usage error instead of a
-stack trace from the model layer.
+stack trace from the model layer.  Later mistakes — conflicting flags, a
+spec that cannot load, a spec the model rejects — raise
+:class:`_UsageError`, which :func:`main` prints as one stderr line before
+returning 2.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -84,6 +87,19 @@ from repro.reporting.temporal import (
     daily_emission_rows,
     intensity_band_rows,
 )
+
+
+class _UsageError(Exception):
+    """A user mistake reported as a one-line stderr message + exit code 2."""
+
+
+@contextmanager
+def _usage_errors(*kinds: type, prefix: str = ""):
+    """Re-raise the listed exception types from the block as usage errors."""
+    try:
+        yield
+    except kinds as exc:
+        raise _UsageError(f"{prefix}{exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +138,21 @@ def _add_catalog_arguments(parser: argparse.ArgumentParser) -> None:
                              "requires --catalog)")
 
 
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Output, substrate and catalog options shared by the run subcommands."""
+    parser.add_argument("--format", choices=("table", "json", "csv"),
+                        default="table", help="output format (default: table)")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the output to this file instead of stdout")
+    parser.add_argument("--substrate-cache-dir", type=Path, default=None,
+                        help="persist simulated snapshots here so full-scale "
+                             "runs are paid once per machine")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="simulate this many sites concurrently "
+                             "(default: 1; 0 = one thread per site)")
+    _add_catalog_arguments(parser)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -130,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     assess = subparsers.add_parser(
-        "assess", help="run the unified assessment pipeline (the canonical entry point)")
+        "assess", aliases=["snapshot"],
+        help="run the unified assessment pipeline (the canonical entry point)")
     assess.add_argument("--spec", type=Path, default=None,
                         help="JSON AssessmentSpec file to start from")
     assess.add_argument("--scale", type=_scale_argument, default=None,
@@ -147,18 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="uniform per-server embodied carbon override (kgCO2e)")
     assess.add_argument("--amortization", type=str, default=None,
                         help="registered amortisation policy name")
-    assess.add_argument("--format", choices=("table", "json", "csv"), default="table",
-                        help="output format (default: table)")
-    assess.add_argument("--output", type=Path, default=None,
-                        help="write the json/csv output to this file instead of stdout")
     assess.add_argument("--output-dir", type=Path, default=None,
                         help="directory to write the regenerated tables as CSV")
-    assess.add_argument("--substrate-cache-dir", type=Path, default=None,
-                        help="persist simulated snapshots here so full-scale "
-                             "runs are paid once per machine")
-    assess.add_argument("--jobs", type=int, default=None,
-                        help="simulate this many sites concurrently "
-                             "(default: 1; 0 = one thread per site)")
     assess.add_argument("--timings", action="store_true",
                         help="report per-site simulation phase timings "
                              "(workload/schedule/trace/power wall seconds; "
@@ -171,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "embodied_estimator); runs the whole cartesian "
                              "grid through the batch runner and emits one "
                              "summary row per scenario")
-    _add_catalog_arguments(assess)
+    _add_run_arguments(assess)
 
     temporal = subparsers.add_parser(
         "temporal", help="run the time-resolved assessment engine")
@@ -195,19 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="circularly shift the workload by this many hours")
     temporal.add_argument("--defer-fraction", type=_fraction_argument, default=None,
                           help="fraction of dirty-interval energy deferred, in [0, 1)")
-    temporal.add_argument("--format", choices=("table", "json", "csv"), default="table",
-                          help="output format (default: table)")
-    temporal.add_argument("--output", type=Path, default=None,
-                          help="write the json/csv output to this file instead of stdout")
     temporal.add_argument("--chart", action="store_true",
                           help="also print the ASCII emission-rate chart")
-    temporal.add_argument("--substrate-cache-dir", type=Path, default=None,
-                          help="persist simulated snapshots here so full-scale "
-                               "runs are paid once per machine")
-    temporal.add_argument("--jobs", type=int, default=None,
-                          help="simulate this many sites concurrently "
-                               "(default: 1; 0 = one thread per site)")
-    _add_catalog_arguments(temporal)
+    _add_run_arguments(temporal)
 
     subparsers.add_parser("inventory", help="print the Table 1 hardware inventory")
 
@@ -217,17 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="length of the generated window in days")
     intensity.add_argument("--chart", action="store_true",
                            help="also print the ASCII chart")
-
-    snapshot = subparsers.add_parser(
-        "snapshot", help="run the simulated IRIS snapshot (Table 2 + carbon model)")
-    snapshot.add_argument("--scale", type=float, default=1.0,
-                          help="node-count scale factor in (0, 1]")
-    snapshot.add_argument("--intensity", type=float, default=175.0,
-                          help="grid carbon intensity (gCO2e/kWh) for the model")
-    snapshot.add_argument("--pue", type=float, default=1.3,
-                          help="PUE for the facility overhead")
-    snapshot.add_argument("--output-dir", type=Path, default=None,
-                          help="directory to write the regenerated tables as CSV")
 
     scenarios = subparsers.add_parser(
         "scenarios", help="print the Table 3 and Table 4 scenario grids")
@@ -253,10 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="ensemble size (default: 20000)")
     uncertainty.add_argument("--seed", type=int, default=0,
                              help="ensemble seed (runs are bit-reproducible)")
-    uncertainty.add_argument("--method", choices=("auto", "vectorized", "oracle"),
-                             default="auto",
-                             help="force the columnar pass or the per-sample "
-                                  "oracle loop (default: auto)")
     uncertainty.add_argument("--sensitivity", action="store_true",
                              help="also print the one-at-a-time sensitivity "
                                   "ranking of the sampled fields")
@@ -266,25 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     uncertainty.add_argument("--temporal", action="store_true",
                              help="time-resolved ensemble: emission bands "
                                   "over the window instead of period totals")
-    uncertainty.add_argument("--format", choices=("table", "json", "csv"),
-                             default="table",
-                             help="output format (default: table)")
-    uncertainty.add_argument("--output", type=Path, default=None,
-                             help="write the json/csv output to this file "
-                                  "instead of stdout")
-    uncertainty.add_argument("--substrate-cache-dir", type=Path, default=None,
-                             help="persist simulated snapshots here so "
-                                  "full-scale runs are paid once per machine")
-    uncertainty.add_argument("--jobs", type=int, default=None,
-                             help="simulate this many sites concurrently "
-                                  "(default: 1; 0 = one thread per site)")
     uncertainty.add_argument("--energy-kwh", type=float, default=None,
                              help="paper mode: closed-form ensemble for this "
                                   "measured energy (no simulation)")
     uncertainty.add_argument("--servers", type=int, default=None,
                              help="paper mode: server count for the "
                                   "closed-form embodied term")
-    _add_catalog_arguments(uncertainty)
+    _add_run_arguments(uncertainty)
 
     portfolio = subparsers.add_parser(
         "portfolio",
@@ -303,19 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     portfolio.add_argument("--carbon-aware", action="store_true",
                            help="rank placement at each site's clean-hour "
                                 "intensity instead of the snapshot average")
-    portfolio.add_argument("--format", choices=("table", "json", "csv"),
-                           default="table",
-                           help="output format (default: table)")
-    portfolio.add_argument("--output", type=Path, default=None,
-                           help="write the json/csv output to this file "
-                                "instead of stdout")
-    portfolio.add_argument("--substrate-cache-dir", type=Path, default=None,
-                           help="persist simulated snapshots here so "
-                                "full-scale runs are paid once per machine")
-    portfolio.add_argument("--jobs", type=int, default=None,
-                           help="simulate this many sites concurrently "
-                                "(default: 1; 0 = one thread per site)")
-    _add_catalog_arguments(portfolio)
+    _add_run_arguments(portfolio)
 
     serve = subparsers.add_parser(
         "serve",
@@ -363,12 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared assessment helpers
 # --------------------------------------------------------------------------
 
-def _run_assessment(spec: AssessmentSpec, substrates=None,
-                    catalog=None) -> AssessmentResult:
-    return Assessment.from_spec(spec, substrates=substrates,
-                                catalog=catalog).run()
-
-
 def _build_catalog_recorder(args: argparse.Namespace, *, serve: bool = True):
     """A CatalogRecorder from --catalog/--tag, or None when not requested.
 
@@ -377,8 +344,8 @@ def _build_catalog_recorder(args: argparse.Namespace, *, serve: bool = True):
     (CSV/table renderers, the Table 3/4 CSV export) that a served payload
     cannot reconstruct.
     """
-    catalog = getattr(args, "catalog", None)
-    tags = getattr(args, "tag", None) or []
+    catalog = args.catalog
+    tags = args.tag or []
     if catalog is None:
         if tags:
             raise _UsageError("--tag requires --catalog")
@@ -388,28 +355,28 @@ def _build_catalog_recorder(args: argparse.Namespace, *, serve: bool = True):
     return CatalogRecorder(catalog, tags=tuple(tags), serve=serve)
 
 
-def _build_substrates(args: argparse.Namespace):
-    """A SubstrateCache from --substrate-cache-dir/--jobs, or None for shared.
-
-    ``--jobs 0`` means "one thread per site" (auto); raises
-    :class:`_UsageError` on a negative count.
-    """
-    cache_dir = getattr(args, "substrate_cache_dir", None)
-    jobs = getattr(args, "jobs", None)
-    if cache_dir is None and jobs is None:
-        return None
-    if jobs is not None and jobs < 0:
+def _site_jobs(jobs: Optional[int]) -> Optional[int]:
+    """``--jobs`` as a site worker count: 1 by default, ``0`` = one per site
+    (``None``); raises :class:`_UsageError` on a negative count."""
+    if jobs is None:
+        return 1
+    if jobs < 0:
         raise _UsageError("--jobs must be non-negative (0 = one thread per site)")
+    return jobs or None
+
+
+def _build_substrates(args: argparse.Namespace):
+    """A SubstrateCache from --substrate-cache-dir/--jobs, or None for shared."""
+    if args.substrate_cache_dir is None and args.jobs is None:
+        return None
     from repro.api import SubstrateCache
 
-    return SubstrateCache(
-        persist_dir=cache_dir,
-        jobs=None if jobs == 0 else (jobs if jobs is not None else 1),
-    )
+    return SubstrateCache(persist_dir=args.substrate_cache_dir,
+                          jobs=_site_jobs(args.jobs))
 
 
 def _assessment_tables_text(result: AssessmentResult) -> str:
-    """The human-readable assessment output (shared by assess and snapshot)."""
+    """The human-readable assessment output."""
     table2 = format_table(
         result.table2_rows(),
         columns=["site", "facility", "pdu", "ipmi", "turbostat", "nodes"],
@@ -462,12 +429,11 @@ def _emit_rows_csv(rows, output: Optional[Path]) -> None:
 # --------------------------------------------------------------------------
 
 def _load_spec(spec_path: Optional[Path]) -> AssessmentSpec:
-    """Load a spec file, or the default spec; raises on unreadable/invalid."""
-    return AssessmentSpec.from_json(spec_path) if spec_path else default_spec()
-
-
-class _UsageError(Exception):
-    """A user mistake reported as a one-line stderr message + exit code 2."""
+    """Load a spec file, or the default spec; raises :class:`_UsageError`
+    on an unreadable or invalid file."""
+    with _usage_errors(OSError, ValueError, TypeError,
+                       prefix="cannot load spec: "):
+        return AssessmentSpec.from_json(spec_path) if spec_path else default_spec()
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
@@ -563,50 +529,40 @@ def _timings_table_text(timings: dict) -> str:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
-    try:
-        if args.timings and args.format == "csv":
+    if args.timings and args.format == "csv":
+        raise _UsageError(
+            "--timings is not available with --format csv "
+            "(use table or json)")
+    if args.sweep:
+        if args.timings:
             raise _UsageError(
-                "--timings is not available with --format csv "
-                "(use table or json)")
-        if args.sweep:
-            if args.timings:
-                raise _UsageError(
-                    "--timings is not available with --sweep "
-                    "(it reads one run's snapshot)")
-            if args.output_dir is not None:
-                raise _UsageError(
-                    "--output-dir is not available with --sweep "
-                    "(it exports one run's tables)")
-        sweep_axes = _parse_sweep_axes(args.sweep) if args.sweep else None
-        overrides = _scenario_overrides(args)
-        substrates = _build_substrates(args)
-        # The Table 3/4 CSV export needs the live snapshot, so --output-dir
-        # downgrades the catalog to record-only; --timings too (a served
-        # payload carries no snapshot to read timings from).
-        recorder = _build_catalog_recorder(
-            args, serve=args.output_dir is None and not args.timings)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot load spec: {exc}", file=sys.stderr)
-        return 2
+                "--timings is not available with --sweep "
+                "(it reads one run's snapshot)")
+        if args.output_dir is not None:
+            raise _UsageError(
+                "--output-dir is not available with --sweep "
+                "(it exports one run's tables)")
+    sweep_axes = _parse_sweep_axes(args.sweep) if args.sweep else None
+    overrides = _scenario_overrides(args)
+    substrates = _build_substrates(args)
+    # The Table 3/4 CSV export needs the live snapshot, so --output-dir
+    # downgrades the catalog to record-only; --timings too (a served
+    # payload carries no snapshot to read timings from).
+    recorder = _build_catalog_recorder(
+        args, serve=args.output_dir is None and not args.timings)
+    spec = _load_spec(args.spec)
     if args.lifetime is not None:
         overrides["lifetime_years"] = args.lifetime
     if args.per_server_kg is not None:
         overrides["per_server_kgco2"] = args.per_server_kg
     if args.amortization is not None:
         overrides["amortization"] = args.amortization
-    try:
+    with _usage_errors(KeyError, ValueError, CatalogError):
         spec = spec.replace(**overrides) if overrides else spec
         if sweep_axes is not None:
             return _run_sweep(args, spec, substrates, recorder, sweep_axes)
-        result = _run_assessment(spec, substrates, recorder)
-    except (KeyError, ValueError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = Assessment.from_spec(spec, substrates=substrates,
+                                      catalog=recorder).run()
 
     if args.format == "table":
         text = _assessment_tables_text(result)
@@ -632,21 +588,13 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
-    try:
-        overrides = _scenario_overrides(args)
-        substrates = _build_substrates(args)
-        # Table/CSV/chart renderers need the live profile object; only the
-        # JSON view is exactly the recorded payload, so only it serves.
-        recorder = _build_catalog_recorder(
-            args, serve=args.format == "json" and not args.chart)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot load spec: {exc}", file=sys.stderr)
-        return 2
+    overrides = _scenario_overrides(args)
+    substrates = _build_substrates(args)
+    # Table/CSV/chart renderers need the live profile object; only the
+    # JSON view is exactly the recorded payload, so only it serves.
+    recorder = _build_catalog_recorder(
+        args, serve=args.format == "json" and not args.chart)
+    spec = _load_spec(args.spec)
     if args.trace_source is not None:
         overrides["trace_source"] = args.trace_source
     if args.resolution is not None:
@@ -657,13 +605,10 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
         overrides["shift_hours"] = args.shift_hours
     if args.defer_fraction is not None:
         overrides["defer_fraction"] = args.defer_fraction
-    try:
+    with _usage_errors(KeyError, ValueError, TypeError, CatalogError):
         spec = spec.replace(**overrides) if overrides else spec
         result = TemporalAssessment.from_spec(
             spec, substrates=substrates, catalog=recorder).run()
-    except (KeyError, ValueError, TypeError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     if args.format == "table":
         parts = []
@@ -711,8 +656,7 @@ def _cmd_inventory(_args: argparse.Namespace) -> int:
 
 def _cmd_intensity(args: argparse.Namespace) -> int:
     if args.days <= 0:
-        print("error: --days must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--days must be positive")
     series = uk_november_2022_intensity(days=args.days)
     if args.chart:
         print(ascii_line_chart(series.series.values, width=72, height=14,
@@ -732,33 +676,9 @@ def _cmd_intensity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    # Validated here (not via argparse types) so programmatic callers get a
-    # return code rather than SystemExit, as this command always did.
-    if not 0.0 < args.scale <= 1.0:
-        print("error: argument --scale: must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.pue < 1.0:
-        print("error: argument --pue: must be at least 1.0", file=sys.stderr)
-        return 2
-    if args.intensity < 0:
-        print("error: argument --intensity: must be non-negative", file=sys.stderr)
-        return 2
-    result = _run_assessment(default_spec(
-        node_scale=args.scale,
-        carbon_intensity_g_per_kwh=args.intensity,
-        pue=args.pue,
-    ))
-    print(_assessment_tables_text(result))
-    if args.output_dir is not None:
-        _write_assessment_tables(result, args.output_dir)
-    return 0
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.energy_kwh < 0 or args.servers <= 0 or args.period_hours <= 0:
-        print("error: energy must be >= 0, servers and period positive", file=sys.stderr)
-        return 2
+        raise _UsageError("energy must be >= 0, servers and period positive")
     print(format_table(
         active_scenario_rows(args.energy_kwh, args.period_hours),
         columns=["intensity_level", "intensity_g_per_kwh", "pue", "carbon_kg"],
@@ -835,9 +755,7 @@ def _cmd_uncertainty_paper(args: argparse.Namespace) -> int:
                   else PAPER_TABLE2_TOTAL_KWH)
     servers = args.servers if args.servers is not None else IRIS_IMPLIED_SERVER_COUNT
     if energy_kwh < 0 or servers <= 0:
-        print("error: --energy-kwh must be >= 0 and --servers positive",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--energy-kwh must be >= 0 and --servers positive")
     draws = closed_form_draws(UncertainInput(), energy_kwh, servers,
                               period_days=1.0, n_samples=args.samples,
                               seed=args.seed)
@@ -857,37 +775,33 @@ def _cmd_uncertainty_paper(args: argparse.Namespace) -> int:
 
 def _cmd_uncertainty(args: argparse.Namespace) -> int:
     if args.samples <= 0:
-        print("error: --samples must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--samples must be positive")
     if args.temporal:
         # Static-ensemble-only flags must not be silently dropped.
         static_only = [
             label for label, given in (
                 ("--sensitivity", args.sensitivity),
                 ("--histogram", args.histogram),
-                ("--method", args.method != "auto"),
             ) if given
         ]
         if static_only:
-            print(f"error: {', '.join(static_only)} only valid for the "
-                  "static ensemble, not --temporal", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{', '.join(static_only)} only valid for the "
+                              "static ensemble, not --temporal")
     # Paper mode: explicit closed-form inputs, or no spec/scale at all
     # (the subcommand's historical default behaviour).
     spec_mode = args.spec is not None or args.scale is not None or args.temporal
     if args.energy_kwh is not None or args.servers is not None:
         if spec_mode:
-            print("error: --energy-kwh/--servers (closed-form paper mode) "
-                  "conflict with --spec/--scale/--temporal (simulated "
-                  "ensemble); pass one or the other", file=sys.stderr)
-            return 2
+            raise _UsageError(
+                "--energy-kwh/--servers (closed-form paper mode) conflict "
+                "with --spec/--scale/--temporal (simulated ensemble); pass "
+                "one or the other")
     if not spec_mode:
         # Ensemble-only flags must not be silently dropped in paper mode.
         ensemble_only = [
             label for label, given in (
                 ("--sensitivity", args.sensitivity),
                 ("--histogram", args.histogram),
-                ("--method", args.method != "auto"),
                 ("--substrate-cache-dir", args.substrate_cache_dir is not None),
                 ("--jobs", args.jobs is not None),
                 ("--catalog", args.catalog is not None),
@@ -895,10 +809,8 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
             ) if given
         ]
         if ensemble_only:
-            print(f"error: {', '.join(ensemble_only)} only valid for the "
-                  "simulated ensemble; pass --spec or --scale",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError(f"{', '.join(ensemble_only)} only valid for the "
+                              "simulated ensemble; pass --spec or --scale")
         return _cmd_uncertainty_paper(args)
 
     from repro.reporting.uncertainty import (
@@ -910,33 +822,18 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
     )
     from repro.uncertainty import EnsembleRunner, TemporalEnsembleRunner
 
-    try:
-        substrates = _build_substrates(args)
-        # Quantile/band table and CSV renderers need the live result
-        # (sample matrices); only the JSON view serves from the catalog.
-        recorder = _build_catalog_recorder(args, serve=args.format == "json")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    substrates = _build_substrates(args)
+    # Quantile/band table and CSV renderers need the live result
+    # (sample matrices); only the JSON view serves from the catalog.
+    recorder = _build_catalog_recorder(args, serve=args.format == "json")
+    with _usage_errors(OSError, KeyError, ValueError, TypeError,
+                       prefix="cannot load spec: "):
         spec = _load_uncertain_spec(args)
-    except (OSError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: cannot load spec: {exc}", file=sys.stderr)
-        return 2
 
-    try:
-        if args.temporal:
-            runner = TemporalEnsembleRunner(spec, substrates=substrates,
-                                            catalog=recorder)
-            result = runner.run(n_samples=args.samples, seed=args.seed)
-        else:
-            runner = EnsembleRunner(spec, substrates=substrates,
-                                    catalog=recorder)
-            result = runner.run(n_samples=args.samples, seed=args.seed,
-                                method=args.method)
-    except (KeyError, ValueError, TypeError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    runner_cls = TemporalEnsembleRunner if args.temporal else EnsembleRunner
+    with _usage_errors(KeyError, ValueError, TypeError, CatalogError):
+        runner = runner_cls(spec, substrates=substrates, catalog=recorder)
+        result = runner.run(n_samples=args.samples, seed=args.seed)
 
     sensitivity_rows = None
     if args.sensitivity:
@@ -987,30 +884,20 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         ) if given
     ]
     if placement_flags and not args.rank_placement:
-        print(f"error: {', '.join(placement_flags)} only valid with "
-              "--rank-placement", file=sys.stderr)
-        return 2
-    try:
-        substrates = _build_substrates(args)
-        # The recorded payload prices placement at the default marginal
-        # load, and the table renderers need live member results — so only
-        # the default-load JSON view serves from the catalog.
-        recorder = _build_catalog_recorder(
-            args, serve=args.format == "json" and args.load_kwh is None)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        raise _UsageError(f"{', '.join(placement_flags)} only valid with "
+                          "--rank-placement")
+    substrates = _build_substrates(args)
+    # The recorded payload prices placement at the default marginal
+    # load, and the table renderers need live member results — so only
+    # the default-load JSON view serves from the catalog.
+    recorder = _build_catalog_recorder(
+        args, serve=args.format == "json" and args.load_kwh is None)
+    with _usage_errors(OSError, KeyError, ValueError, TypeError,
+                       prefix="cannot load spec: "):
         spec = PortfolioSpec.from_json(args.spec)
-    except (OSError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: cannot load spec: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _usage_errors(KeyError, ValueError, TypeError, CatalogError):
         result = PortfolioRunner(spec, substrates=substrates,
                                  catalog=recorder).run()
-    except (KeyError, ValueError, TypeError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     load_kwh = (args.load_kwh if args.load_kwh is not None
                 else DEFAULT_PLACEMENT_LOAD_KWH)
@@ -1050,30 +937,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "request_timeout_s": args.request_timeout,
         "max_substrates": args.max_substrates,
     }
-    try:
-        if args.tag and args.catalog is None:
-            raise _UsageError("--tag requires --catalog")
-        if args.jobs is not None and args.jobs < 0:
-            raise _UsageError(
-                "--jobs must be non-negative (0 = one thread per site)")
-        try:
-            config = ServeConfig(
-                host=args.host,
-                port=args.port,
-                substrate_cache_dir=args.substrate_cache_dir,
-                jobs=None if args.jobs == 0 else (
-                    args.jobs if args.jobs is not None else 1),
-                catalog=args.catalog,
-                tags=tuple(args.tag or ()),
-                plugins=tuple(args.plugin or ()),
-                **{key: value for key, value in overrides.items()
-                   if value is not None},
-            )
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.tag and args.catalog is None:
+        raise _UsageError("--tag requires --catalog")
+    with _usage_errors(ValueError):
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            substrate_cache_dir=args.substrate_cache_dir,
+            jobs=_site_jobs(args.jobs),
+            catalog=args.catalog,
+            tags=tuple(args.tag or ()),
+            plugins=tuple(args.plugin or ()),
+            **{key: value for key, value in overrides.items()
+               if value is not None},
+        )
 
     def banner(server) -> None:
         print(serve_banner(server.address, config), flush=True)
@@ -1088,7 +965,7 @@ _COMMANDS = {
     "temporal": _cmd_temporal,
     "inventory": _cmd_inventory,
     "intensity": _cmd_intensity,
-    "snapshot": _cmd_snapshot,
+    "snapshot": _cmd_assess,
     "scenarios": _cmd_scenarios,
     "uncertainty": _cmd_uncertainty,
     "portfolio": _cmd_portfolio,
@@ -1099,9 +976,12 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 __all__ = ["main"]

@@ -310,10 +310,14 @@ class ServeApp:
         if "spec" not in doc:
             raise BadRequest(
                 'an uncertainty request wraps its spec: {"spec": {...}, '
-                '"n_samples": N, "seed": S, "method": ..., '
-                '"temporal": false}')
-        known = {"spec", "n_samples", "seed", "method", "temporal"}
-        unknown = sorted(set(doc) - known)
+                '"n_samples": N, "seed": S, "temporal": false}')
+        if doc.get("method", "auto") != "auto":
+            raise BadRequest(
+                "the uncertainty request field \"method\" was removed: the "
+                "ensemble takes the columnar pass whenever every sampled "
+                "field allows it; drop the field")
+        known = {"spec", "n_samples", "seed", "temporal"}
+        unknown = sorted(set(doc) - known - {"method"})
         if unknown:
             raise BadRequest(
                 f"unknown uncertainty request fields: {', '.join(unknown)}; "
@@ -324,18 +328,11 @@ class ServeApp:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise BadRequest("uncertainty seed must be an integer (served "
                              "runs are content-addressed by it)")
-        if doc.get("temporal", False):
-            if "method" in doc:
-                raise BadRequest(
-                    "method only applies to the static ensemble, "
-                    "not temporal=true")
-            runner = TemporalEnsembleRunner(
-                spec, substrates=self._substrates, catalog=self._recorder)
-            return runner.run(n_samples=n_samples, seed=seed)
-        runner = EnsembleRunner(spec, substrates=self._substrates,
-                                catalog=self._recorder)
-        return runner.run(n_samples=n_samples, seed=seed,
-                          method=doc.get("method", "auto"))
+        runner_cls = (TemporalEnsembleRunner if doc.get("temporal", False)
+                      else EnsembleRunner)
+        runner = runner_cls(spec, substrates=self._substrates,
+                            catalog=self._recorder)
+        return runner.run(n_samples=n_samples, seed=seed)
 
     @staticmethod
     def _uncertain_spec(data: Any):

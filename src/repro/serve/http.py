@@ -14,7 +14,7 @@ Routes::
     GET  /stats        cache / admission / catalog counters
     POST /assess       AssessmentSpec JSON document
     POST /temporal     AssessmentSpec JSON document
-    POST /uncertainty  {"spec": {...}, "n_samples", "seed", "method", "temporal"}
+    POST /uncertainty  {"spec": {...}, "n_samples", "seed", "temporal"}
     POST /portfolio    PortfolioSpec JSON document
     POST /reload       re-import the configured plugin modules
 

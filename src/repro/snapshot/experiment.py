@@ -15,8 +15,11 @@ For every configured site, :class:`SnapshotExperiment`:
 Where the utilisation matrix lives is decided per site by size, not by a
 setting: a site whose float64 matrix would exceed
 :data:`DENSE_TRACE_LIMIT_BYTES` (see :func:`out_of_core`) streams node-axis
-shards from disk instead of holding the matrix in memory.  Every default
-IRIS site is far below the limit.
+shards from disk instead of holding the matrix in memory.  The shards are
+scratch: each such site writes them to a private directory under the
+system temporary directory (``TMPDIR``) and removes it before
+:meth:`SnapshotExperiment.run_site` returns.  Every default IRIS site is
+far below the limit.
 
 The combined :class:`SnapshotResult` then exposes the Table 2 rows, the
 active-energy input for the carbon model, the embodied asset list, and
@@ -31,8 +34,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -339,7 +341,8 @@ class SnapshotExperiment:
     (:class:`~repro.workload.fleet.ShardedFleetUtilization` +
     :class:`~repro.power.fleet_power.ShardedPowerBreakdownTrace`), which
     streams node-axis shards of at most :data:`DENSE_TRACE_LIMIT_BYTES`
-    from disk and agrees with the dense path to ≤1e-9.
+    from a private temporary directory, removed as soon as the site's
+    reductions are done, and agrees with the dense path to ≤1e-9.
 
     Parameters
     ----------
@@ -349,14 +352,6 @@ class SnapshotExperiment:
         Number of sites simulated concurrently by :meth:`run` on a thread
         pool.  1 runs sequentially, ``None`` uses one worker per site
         capped at the CPU count.
-    shard_dir / shard_key:
-        Where out-of-core sites keep their shard directories, and the
-        content key recorded in (and checked against) each directory's
-        manifest — pass the physical-spec digest so a directory built for
-        the same physical configuration is reused instead of rebuilt.
-        Without ``shard_dir`` each such site uses a private temporary
-        directory, removed as soon as the site's reductions are done.
-        Dense sites ignore both.
     """
 
     def __init__(
@@ -364,16 +359,12 @@ class SnapshotExperiment:
         config: Optional[SnapshotConfig] = None,
         catalog: Optional[HardwareCatalog] = None,
         max_workers: Optional[int] = 1,
-        shard_dir: Optional[Union[str, Path]] = None,
-        shard_key: Optional[str] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1 (or None)")
         self._config = config or build_iris_snapshot_config()
         self._catalog = catalog or default_catalog()
         self._max_workers = max_workers
-        self._shard_dir = Path(shard_dir) if shard_dir is not None else None
-        self._shard_key = shard_key
 
     @property
     def config(self) -> SnapshotConfig:
@@ -444,12 +435,6 @@ class SnapshotExperiment:
             "facility": FacilityMeter(),
         }
 
-    def _site_shard_dir(self, site: SiteSnapshotConfig) -> Tuple[Path, bool]:
-        """This site's shard directory and whether it is ephemeral."""
-        if self._shard_dir is not None:
-            return self._shard_dir / f"site-{site.site}", False
-        return Path(tempfile.mkdtemp(prefix=f"repro-shards-{site.site}-")), True
-
     def run_site(self, site: SiteSnapshotConfig) -> SiteSnapshotResult:
         """Simulate and measure one site for the snapshot window.
 
@@ -506,10 +491,10 @@ class SnapshotExperiment:
                 timings["trace_s"] = time.perf_counter() - t_phase
 
         models = [NodePowerModel(spec) for spec in specs]
-        shard_dir, ephemeral = (None, False)
+        shard_dir = None
         try:
             if sharded:
-                shard_dir, ephemeral = self._site_shard_dir(site)
+                shard_dir = tempfile.mkdtemp(prefix=f"repro-shards-{site.site}-")
                 t_phase = time.perf_counter()
                 trace = ShardedFleetUtilization.from_placements(
                     placements,
@@ -520,7 +505,6 @@ class SnapshotExperiment:
                     step_s=config.trace_step_s,
                     shard_nodes=max(1, DENSE_TRACE_LIMIT_BYTES
                                     // (_FLOAT64_BYTES * _sample_count(config))),
-                    key=self._shard_key,
                 )
                 timings["trace_s"] = time.perf_counter() - t_phase
                 t_phase = time.perf_counter()
@@ -557,9 +541,9 @@ class SnapshotExperiment:
                 timings=timings,
             )
         finally:
-            # Every reduction the result needs has been materialised, so an
-            # ephemeral shard store is garbage the moment we leave.
-            if ephemeral and shard_dir is not None:
+            # Every reduction the result needs has been materialised, so the
+            # shard store is garbage the moment we leave.
+            if shard_dir is not None:
                 shutil.rmtree(shard_dir, ignore_errors=True)
         object.__setattr__(result, "_duration_hours", config.duration_hours)
         return result

@@ -11,8 +11,9 @@ into first-class probabilistic sweeps over *any* numeric spec parameter:
   distribution objects, round-tripping through the same flat JSON file;
 * :mod:`~repro.uncertainty.ensemble` — :class:`EnsembleRunner`: seeded
   n x k sampling pushed through the analysis stage in one columnar pass
-  over a substrate simulated exactly once (with the per-sample
-  ``Assessment`` loop retained as the cross-validation oracle);
+  over a substrate simulated exactly once, or through the per-sample
+  ``Assessment`` loop (the fallback and the reference) when a sampled
+  field needs it;
 * :mod:`~repro.uncertainty.result` — quantile-native
   :class:`EnsembleResult` (percentile bands, crossover probabilities,
   exceedance queries);

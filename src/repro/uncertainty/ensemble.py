@@ -1,11 +1,11 @@
 """The ensemble execution engine: one substrate, n sampled scenarios.
 
 :class:`EnsembleRunner` turns an :class:`~repro.uncertainty.spec.
-UncertainSpec` into an :class:`~repro.uncertainty.result.EnsembleResult`
-two ways:
+UncertainSpec` into an :class:`~repro.uncertainty.result.EnsembleResult`.
+It picks the evaluation path itself, from the sampled fields:
 
-* **vectorized** (the production path): the workload -> power substrate is
-  simulated exactly once through the shared
+* **vectorized** (whenever :meth:`EnsembleRunner.vectorizable`): the
+  workload -> power substrate is simulated exactly once through the shared
   :class:`~repro.api.substrates.SubstrateCache`, after which the whole
   carbon model collapses to columnar arithmetic — the snapshot's measured
   energies (produced by contracting the affine
@@ -14,15 +14,15 @@ two ways:
   intensity columns in one broadcast pass, and the amortised embodied term
   against the sampled lifetime / per-server columns in another.  10k
   scenarios cost one simulation plus a few array operations.
-* **oracle** (the reference semantics): one
+* **per-sample** (the fallback and the reference semantics): one
   :class:`~repro.api.assessment.Assessment` run per sample against the
-  same substrate cache.  Kept for cross-validation — the uncertainty
-  benchmark pins vectorized-vs-oracle quantile agreement at <= 1e-9
-  relative and asserts the >= 20x speedup — and as the fallback for
-  sampled fields the columnar pass cannot absorb (physical fields, which
-  change the substrate, and non-linear amortisation policies).
+  same substrate cache.  It is the only path for sampled fields the
+  columnar pass cannot absorb (physical fields, which change the
+  substrate, and non-linear amortisation policies); the uncertainty
+  benchmark calls it directly to pin vectorized-vs-per-sample quantile
+  agreement at <= 1e-9 relative and the >= 20x speedup.
 
-Sampled *physical* fields (``node_scale``, ...) work through the oracle:
+Sampled *physical* fields (``node_scale``, ...) take the per-sample path:
 each **distinct** sampled value costs one simulation (deduplicated by the
 substrate cache), so a discrete distribution over a handful of fleet
 scales stays affordable while a continuous one is honestly expensive.
@@ -47,10 +47,6 @@ from repro.uncertainty.result import EnsembleResult
 from repro.uncertainty.sampling import SampleMatrix, draw_samples
 from repro.uncertainty.spec import INTENSITY_TRACE_FIELDS, UncertainSpec
 
-#: Methods :meth:`EnsembleRunner.run` accepts.
-METHODS = ("auto", "vectorized", "oracle")
-
-
 class EnsembleRunner:
     """Run sampled scenario ensembles against shared cached substrates.
 
@@ -71,7 +67,7 @@ class EnsembleRunner:
     catalog:
         Opt-in run cataloguing (a catalog, recorder, or path — see
         :class:`~repro.api.assessment.Assessment`).  An ensemble is a
-        pure function of (spec, n_samples, seed, method), so a repeat
+        pure function of (spec, n_samples, seed), so a repeat
         :meth:`run` with the same arguments is served from the catalog
         with zero simulation; cataloguing requires an int seed.
     """
@@ -128,41 +124,29 @@ class EnsembleRunner:
                     for name in self._spec.fields)
                 and self._spec.base.amortization == "linear")
 
-    def run(self, n_samples: int = 1000, seed: int = 0,
-            method: str = "auto") -> EnsembleResult:
+    def run(self, n_samples: int = 1000, seed: int = 0) -> EnsembleResult:
         """Run the ensemble and return the quantile-native result.
 
-        ``method="auto"`` takes the vectorized path whenever every sampled
-        field is an analysis field under linear amortisation, and the
-        per-sample oracle otherwise.  With ``catalog=`` configured, a
-        previously catalogued (spec, n, seed, method) draw is served from
-        the catalog with zero simulation.
+        The columnar pass runs whenever :meth:`vectorizable` is true, the
+        per-sample loop otherwise; :attr:`EnsembleResult.method` reports
+        which.  With ``catalog=`` configured, a previously catalogued
+        (spec, n, seed) draw is served from the catalog with zero
+        simulation.
         """
-        if self._recorder is not None and method in METHODS:
+        if self._recorder is not None:
             return self._recorder.run_ensemble(
-                self, n_samples=n_samples, seed=seed, method=method)
-        return self.run_live(n_samples=n_samples, seed=seed, method=method)
+                self, n_samples=n_samples, seed=seed)
+        return self.run_live(n_samples=n_samples, seed=seed)
 
-    def run_live(self, n_samples: int = 1000, seed: int = 0,
-                 method: str = "auto") -> EnsembleResult:
+    def run_live(self, n_samples: int = 1000, seed: int = 0) -> EnsembleResult:
         """Run the ensemble unconditionally (never catalog-served)."""
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-        if method == "vectorized" and not self.vectorizable():
-            raise ValueError(
-                "the vectorized path needs every sampled field in "
-                f"{', '.join(ANALYSIS_SAMPLE_FIELDS)} and linear "
-                f"amortisation; sampled fields are "
-                f"{', '.join(self._spec.fields)} with amortization="
-                f"{self._spec.base.amortization!r} — use method='oracle'")
         samples = self.draw(n_samples, seed)
-        if method == "oracle" or not self.vectorizable():
-            active, embodied = self._evaluate_oracle(samples)
-            used = "oracle"
-        else:
+        if self.vectorizable():
             active, embodied = self._evaluate_vectorized(samples)
             used = "vectorized"
+        else:
+            active, embodied = self._evaluate_oracle(samples)
+            used = "oracle"
         return EnsembleResult(
             spec=self._spec,
             samples=samples,
@@ -187,14 +171,6 @@ class EnsembleRunner:
 
         return evaluate_ensemble_columns(
             self._spec.base, self._substrates, samples)
-
-    @staticmethod
-    def _validate_columns(samples: SampleMatrix) -> None:
-        """Enforce the spec fields' domains on whole sampled columns (the
-        oracle gets this per sample from AssessmentSpec validation)."""
-        from repro.api.columnar import validate_sample_columns
-
-        validate_sample_columns(samples)
 
     # -- the per-sample reference loop -----------------------------------------------
 
@@ -256,4 +232,4 @@ class EnsembleRunner:
         return per_field
 
 
-__all__ = ["METHODS", "EnsembleRunner"]
+__all__ = ["EnsembleRunner"]

@@ -54,8 +54,8 @@ class EnsembleResult:
     seed:
         The ensemble seed (the run is a pure function of spec, n, seed).
     method:
-        ``"vectorized"`` (columnar analysis pass) or ``"oracle"``
-        (per-sample Assessment loop).
+        The path the runner took: ``"vectorized"`` (columnar analysis
+        pass) or ``"oracle"`` (per-sample Assessment loop).
     """
 
     spec: UncertainSpec

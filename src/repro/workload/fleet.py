@@ -38,9 +38,9 @@ its own ``.npy`` file; shards are re-opened as read-only memmaps, so any
 consumer streams one shard's worth of data at a time and the dense matrix
 never exists in memory.  A shard directory is self-describing — a
 ``manifest.json`` records the format version
-(:data:`SHARD_FORMAT_VERSION`), the content key (the substrate cache's
-physical-spec digest), the sampling grid and the shard geometry — and a
-directory whose manifest matches is reused instead of rebuilt.  Shards are
+(:data:`SHARD_FORMAT_VERSION`), the sampling grid and the shard geometry.
+The snapshot experiment builds each store in a private temporary
+directory and removes it once the site's reductions are done.  Shards are
 always float64 and node-major, so a shard row is a dense-matrix row.
 """
 
@@ -50,7 +50,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -60,9 +60,8 @@ from repro.workload.utilization import UtilizationTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.scheduler import Placement
 
-#: Bump when the on-disk shard layout changes; mismatched directories are
-#: rebuilt from scratch (the same discipline as
-#: :data:`repro.api.persistence.SNAPSHOT_CACHE_VERSION`).
+#: Bump when the on-disk shard layout changes; :meth:`ShardedFleetUtilization.
+#: open` refuses a directory written under another version.
 SHARD_FORMAT_VERSION = 2
 
 #: Name of the shard directory's self-description file.
@@ -312,7 +311,7 @@ class ShardedFleetUtilization:
     ``mean_per_node``, ``mean_utilization``, ``node_series``, the grid
     accessors) but holds no matrix: every access streams the relevant
     shard(s) through a read-only memmap.  Use
-    :meth:`ShardedFleetUtilization.from_placements` to build (or reuse) a
+    :meth:`ShardedFleetUtilization.from_placements` to build a
     shard directory and :meth:`ShardedFleetUtilization.open` to re-open an
     existing one.
 
@@ -321,7 +320,7 @@ class ShardedFleetUtilization:
     """
 
     __slots__ = ("_directory", "_start", "_step", "_node_ids", "_n_samples",
-                 "_shard_nodes", "_bounds", "_files", "_row_index", "_key")
+                 "_shard_nodes", "_bounds", "_files", "_row_index")
 
     def __init__(self, directory: Union[str, Path], manifest: Dict[str, object]):
         self._directory = Path(directory)
@@ -334,7 +333,6 @@ class ShardedFleetUtilization:
         self._node_ids: List[str] = list(manifest["node_ids"])
         self._n_samples = int(manifest["n_samples"])
         self._shard_nodes = int(manifest["shard_nodes"])
-        self._key = manifest.get("key")
         if self._step <= 0 or self._n_samples <= 0 or self._shard_nodes <= 0:
             raise ValueError("shard manifest geometry must be positive")
         self._bounds = _shard_bounds(len(self._node_ids), self._shard_nodes)
@@ -357,7 +355,6 @@ class ShardedFleetUtilization:
         step_s: float = 60.0,
         start_s: float = 0.0,
         shard_nodes: int = 4096,
-        key: Optional[str] = None,
     ) -> "ShardedFleetUtilization":
         """Build the shard directory from placements, one shard in RAM at a time.
 
@@ -365,13 +362,7 @@ class ShardedFleetUtilization:
         interval-overlap math as the dense builder, restricted to the
         shard's node range, then written atomically as one ``.npy`` file.
         Peak memory is O(shard_nodes × n_samples), independent of fleet
-        size.
-
-        ``key`` is the content key of the physical configuration that
-        produced the placements (the substrate cache's physical-spec
-        digest).  When the directory already holds a manifest with the same
-        version, key and parameters, the existing shards are reused instead
-        of rebuilt; pass ``key=None`` to always rebuild.
+        size.  The caller owns ``directory`` and its lifetime.
         """
         if step_s <= 0:
             raise ValueError("step_s must be positive")
@@ -388,11 +379,6 @@ class ShardedFleetUtilization:
             raise ValueError("node core counts must be positive")
 
         directory = Path(directory)
-        if key is not None:
-            existing = cls._reusable(directory, node_ids, start_s, step_s,
-                                     n_samples, shard_nodes, key)
-            if existing is not None:
-                return existing
         directory.mkdir(parents=True, exist_ok=True)
 
         node_idx, t0, t1, weight = _placement_arrays(
@@ -416,7 +402,6 @@ class ShardedFleetUtilization:
 
         manifest = {
             "version": SHARD_FORMAT_VERSION,
-            "key": key,
             "start": start_s,
             "step": step_s,
             "n_samples": n_samples,
@@ -437,31 +422,6 @@ class ShardedFleetUtilization:
         return cls(directory, manifest)
 
     @classmethod
-    def _reusable(cls, directory: Path, node_ids: Sequence[str], start_s: float,
-                  step_s: float, n_samples: int, shard_nodes: int,
-                  key: str) -> Optional["ShardedFleetUtilization"]:
-        """An existing shard store matching the requested build, or ``None``.
-
-        Any mismatch — version skew, different key, different geometry,
-        unreadable manifest, missing shard file — is a rebuild, never an
-        error.
-        """
-        try:
-            store = cls.open(directory)
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError):
-            return None
-        if (store._key == key
-                and store._node_ids == list(node_ids)
-                and store._start == start_s
-                and store._step == step_s
-                and store._n_samples == n_samples
-                and store._shard_nodes == shard_nodes
-                and all(path.exists() for path in store._files)):
-            return store
-        return None
-
-    @classmethod
     def open(cls, directory: Union[str, Path]) -> "ShardedFleetUtilization":
         """Open an existing shard directory (raises on skew/corruption)."""
         directory = Path(directory)
@@ -474,11 +434,6 @@ class ShardedFleetUtilization:
     @property
     def directory(self) -> Path:
         return self._directory
-
-    @property
-    def key(self) -> Optional[str]:
-        """The content key the store was built under (``None`` = unkeyed)."""
-        return self._key
 
     @property
     def start(self) -> float:

@@ -1,5 +1,8 @@
 """Tests for the declarative assessment spec."""
 
+import json
+import math
+
 import pytest
 
 from repro.api import AssessmentSpec, default_spec
@@ -39,6 +42,24 @@ class TestValidation:
     def test_invalid_values_rejected(self, changes):
         with pytest.raises(ValueError):
             default_spec(**changes)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "node_scale", "duration_hours", "trace_step_s",
+        "carbon_intensity_g_per_kwh", "pue", "per_server_kgco2",
+        "lifetime_years", "temporal_resolution_s", "shift_hours",
+        "defer_fraction",
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        """No range check catches NaN, and ``inf`` passes most of them."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AssessmentSpec.from_dict({field: value})
+
+    def test_json_non_finite_literals_rejected(self):
+        for text in ('{"pue": NaN}', '{"lifetime_years": Infinity}',
+                     '{"duration_hours": 1' + "0" * 400 + '}'):
+            with pytest.raises(ValueError, match="must be finite"):
+                AssessmentSpec.from_dict(json.loads(text))
 
     def test_replace_validates(self):
         spec = default_spec(node_scale=0.1)

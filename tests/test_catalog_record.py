@@ -211,24 +211,24 @@ class TestEnsembleServing:
         assert not getattr(other_n, "served_from_catalog", False)
         assert run_catalog.count() == 3
 
-    def test_auto_and_explicit_method_share_an_address(self, run_catalog,
-                                                       recorder):
-        runner = EnsembleRunner(spec(), catalog=recorder)
-        resolved = "vectorized" if runner.vectorizable() else "oracle"
-        runner.run(n_samples=64, seed=3, method="auto")
-        served = EnsembleRunner(spec(), catalog=recorder).run(
-            n_samples=64, seed=3, method=resolved)
-        assert served.served_from_catalog
+    def test_spec_document_carries_the_path_taken(self, run_catalog,
+                                                  recorder):
+        """The address keeps the resolved ``"method"`` key, so draws
+        catalogued when the path was a caller's choice are still served."""
+        columnar = EnsembleRunner(spec(), catalog=recorder).run(
+            n_samples=64, seed=3)
+        per_sample = EnsembleRunner(
+            spec(amortization="utilization-weighted"),
+            {"pue": Normal(1.3, 0.05, low=1.0, high=1.6)},
+            catalog=recorder).run(n_samples=4, seed=3)
+        assert (columnar.method, per_sample.method) == ("vectorized", "oracle")
+        assert sorted(run.spec["method"] for run in run_catalog.runs()) == \
+            ["oracle", "vectorized"]
 
     def test_generator_seed_rejected(self, recorder):
         with pytest.raises(CatalogError, match="int seed"):
             EnsembleRunner(spec(), catalog=recorder).run(
                 n_samples=8, seed=np.random.default_rng(0))
-
-    def test_invalid_method_still_raises(self, recorder):
-        with pytest.raises(ValueError):
-            EnsembleRunner(spec(), catalog=recorder).run(
-                n_samples=8, seed=0, method="nonsense")
 
 
 class TestTemporalEnsembleServing:

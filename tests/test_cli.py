@@ -45,7 +45,10 @@ class TestSnapshot:
         assert (tmp_path / "table4_embodied.csv").exists()
 
     def test_invalid_scale(self, capsys):
-        assert main(["snapshot", "--scale", "0"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["snapshot", "--scale", "0"])
+        assert err.value.code == 2
+        assert "--scale" in capsys.readouterr().err
 
 
 class TestScenarios:
@@ -148,8 +151,13 @@ class TestAssess:
 
 
 class TestSnapshotValidation:
+    """``snapshot`` is an alias of ``assess``: the same inputs fail the same
+    way (argparse exit for parse-time checks, 2 for the later ones)."""
+
     def test_invalid_pue_returns_error_code(self, capsys):
-        assert main(["snapshot", "--scale", "0.05", "--pue", "0.5"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["snapshot", "--scale", "0.05", "--pue", "0.5"])
+        assert err.value.code == 2
         assert "--pue" in capsys.readouterr().err
 
     def test_invalid_intensity_returns_error_code(self, capsys):
@@ -213,6 +221,10 @@ class TestAssessErrorPaths:
         assert main(["assess", "--scale", "0.05", "--grid", "atlantis"]) == 2
         err = capsys.readouterr().err
         assert "atlantis" in err and "registered names" in err
+
+    def test_non_finite_lifetime_returns_error_code(self, capsys):
+        assert main(["assess", "--scale", "0.05", "--lifetime", "inf"]) == 2
+        assert "lifetime_years must be finite" in capsys.readouterr().err
 
     def test_invalid_lifetime_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -51,8 +51,6 @@ class TestPaperMode:
         # loudly rather than being silently dropped.
         assert main(["uncertainty", "--sensitivity"]) == 2
         assert "--sensitivity" in capsys.readouterr().err
-        assert main(["uncertainty", "--method", "oracle"]) == 2
-        assert "--method" in capsys.readouterr().err
         assert main(["uncertainty", "--histogram", "--jobs", "2"]) == 2
         err = capsys.readouterr().err
         assert "--histogram" in err and "--jobs" in err
@@ -110,10 +108,14 @@ class TestSpecMode:
         assert "Sensitivity" in out
         assert "variance_share" in out
 
-    def test_oracle_method(self, capsys):
-        assert main(["uncertainty", "--method", "oracle", "--scale", "0.02",
-                     "--samples", "20"]) == 0
-        assert "oracle" in capsys.readouterr().out
+    @pytest.mark.parametrize("mode", [[], SCALE_ARGS, ["--temporal"]])
+    def test_removed_method_flag_is_a_usage_error(self, mode, capsys):
+        """The ensemble picks its own path; ``--method`` is gone in every
+        mode, not silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["uncertainty", "--method", "oracle", *mode])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -146,9 +148,6 @@ class TestTemporalMode:
         assert main(["uncertainty", "--temporal", "--sensitivity"]
                     + SCALE_ARGS) == 2
         assert "static ensemble" in capsys.readouterr().err
-        assert main(["uncertainty", "--temporal", "--method", "oracle"]
-                    + SCALE_ARGS) == 2
-        assert "--method" in capsys.readouterr().err
         assert main(["uncertainty", "--temporal", "--histogram"]
                     + SCALE_ARGS) == 2
         assert "--histogram" in capsys.readouterr().err

@@ -392,7 +392,7 @@ class TestRequestValidation:
                 app.handle("uncertainty", {"spec": {}, "samples": 4})
             with pytest.raises(BadRequest, match="seed must be an integer"):
                 app.handle("uncertainty", {"spec": {}, "seed": True})
-            with pytest.raises(BadRequest, match="temporal"):
+            with pytest.raises(BadRequest, match="drop the field"):
                 app.handle("uncertainty",
                            {"spec": {}, "temporal": True, "method": "lhs"})
         finally:
@@ -402,11 +402,51 @@ class TestRequestValidation:
         app = ServeApp(ServeConfig(workers=1))
         try:
             payload, source = app.handle("uncertainty", {
-                "spec": _doc(), "n_samples": 8, "seed": 7,
-                "method": "vectorized"})
+                "spec": _doc(), "n_samples": 8, "seed": 7, "temporal": False})
             assert source == "live"
             assert payload["summary"]["samples"] == 8
             assert counting_source.calls == 1
+        finally:
+            app.close()
+
+    def test_removed_method_field(self, counting_source):
+        """``"method": "auto"`` (the old default) is dropped; any other
+        value names the removal before anything is simulated."""
+        app = ServeApp(ServeConfig(workers=1))
+        try:
+            request = {"spec": _doc(), "n_samples": 8, "seed": 7}
+            for method in ("vectorized", "oracle", "lhs"):
+                with pytest.raises(BadRequest, match=(
+                        "columnar pass whenever every sampled field allows "
+                        "it; drop the field")):
+                    app.handle("uncertainty", dict(request, method=method))
+            assert counting_source.calls == 0
+            legacy, _ = app.handle("uncertainty",
+                                   dict(request, method="auto"))
+            plain, _ = app.handle("uncertainty", request)
+            assert legacy == plain
+            assert plain["summary"]["method"] == "vectorized"
+            assert counting_source.calls == 1
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("field", [
+        "pue", "lifetime_years", "duration_hours",
+        "carbon_intensity_g_per_kwh",
+    ])
+    def test_non_finite_numbers_are_400(self, field, counting_source,
+                                        tmp_path):
+        """JSON parsers accept ``NaN`` and ``Infinity``: each is a 400 with
+        no simulation and no catalog row, never a 200 or a 500."""
+        app = ServeApp(ServeConfig(workers=1, catalog=tmp_path / "runs.db"))
+        try:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                for kind in ("assess", "temporal"):
+                    with pytest.raises(BadRequest, match="must be finite"):
+                        app.handle(kind, _doc(**{field: value}))
+            assert counting_source.calls == 0
+            assert app.substrates.snapshot_runs == 0
+            assert app.stats()["catalog"]["runs"] == 0
         finally:
             app.close()
 

@@ -1,14 +1,17 @@
 """The out-of-core sharded fleet substrate and the size rule that picks it.
 
-Covers the shard store itself (build, reuse, versioning), the streaming
-power contraction against the dense oracle, the size rule
+Covers the shard store itself (build, versioning), the streaming power
+contraction against the dense oracle, the size rule
 (:func:`~repro.snapshot.experiment.out_of_core`) and the experiment,
 ``Assessment`` and CLI runs it sends out of core (each ≤1e-9 from the
-dense run), and the legacy execution fields older spec documents carry.
+dense run, each leaving no shard bytes behind), and the legacy execution
+fields older spec documents carry.
 """
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -64,6 +67,35 @@ def assert_matches_dense(dense, sharded):
     np.testing.assert_allclose(
         sharded.facility_power_series().values,
         dense.facility_power_series().values, rtol=1e-9)
+
+
+@pytest.fixture
+def scratch(monkeypatch, tmp_path):
+    """Point the system temporary directory at an empty ``scratch/``."""
+    directory = tmp_path / "scratch"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+@pytest.fixture
+def built_stores(monkeypatch):
+    """Spy on ``from_placements``: ``{site: (shard_nodes, shard_count,
+    bytes on disk)}``, measured before the experiment removes the store."""
+    built = {}
+    build = ShardedFleetUtilization.from_placements.__func__
+
+    def spy(cls, placements, node_ids, *args, **kwargs):
+        store = build(cls, placements, node_ids, *args, **kwargs)
+        site = node_ids[0].rsplit("-", 2)[0]
+        built[site] = (store.shard_nodes, store.shard_count,
+                       sum(os.path.getsize(path)
+                           for path in store.directory.iterdir()))
+        return store
+
+    monkeypatch.setattr(ShardedFleetUtilization, "from_placements",
+                        classmethod(spy))
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -122,58 +154,19 @@ class TestShardStore:
         assert (lo, hi) == (0, 8)
         assert shard.shape == (8, store.sample_count)
 
-    def test_directory_reused_when_key_matches(self, scheduled, tmp_path):
+    def test_version_skew_is_an_error_on_open(self, scheduled, tmp_path):
         placements, node_ids, cores = scheduled
-        build = dict(step_s=STEP_S, shard_nodes=8, key="digest-1")
-        first = ShardedFleetUtilization.from_placements(
-            placements, node_ids, cores, DURATION_S, tmp_path, **build)
-        # Rebuilding with NO placements but the same key must serve the
-        # existing shards (proof the store, not the arguments, answered).
-        reused = ShardedFleetUtilization.from_placements(
-            [], node_ids, cores, DURATION_S, tmp_path, **build)
-        np.testing.assert_array_equal(reused.to_dense().matrix,
-                                      first.to_dense().matrix)
-        assert reused.to_dense().matrix.max() > 0.0
-
-    def test_key_mismatch_forces_rebuild(self, scheduled, tmp_path):
-        placements, node_ids, cores = scheduled
-        ShardedFleetUtilization.from_placements(
+        built = ShardedFleetUtilization.from_placements(
             placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=8, key="digest-1")
-        rebuilt = ShardedFleetUtilization.from_placements(
-            [], node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=8, key="digest-2")
-        assert rebuilt.to_dense().matrix.max() == 0.0
-
-    def test_geometry_mismatch_forces_rebuild(self, scheduled, tmp_path):
-        placements, node_ids, cores = scheduled
-        ShardedFleetUtilization.from_placements(
-            placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=8, key="digest-1")
-        rebuilt = ShardedFleetUtilization.from_placements(
-            [], node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=16, key="digest-1")
-        assert rebuilt.shard_nodes == 16
-        assert rebuilt.to_dense().matrix.max() == 0.0
-
-    def test_version_skew_is_a_rebuild_on_build_and_error_on_open(
-            self, scheduled, tmp_path):
-        placements, node_ids, cores = scheduled
-        ShardedFleetUtilization.from_placements(
-            placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=8, key="digest-1")
+            step_s=STEP_S, shard_nodes=8)
+        assert ShardedFleetUtilization.open(tmp_path).shard_count == \
+            built.shard_count
         manifest_path = tmp_path / SHARD_MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = SHARD_FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="format version"):
             ShardedFleetUtilization.open(tmp_path)
-        rebuilt = ShardedFleetUtilization.from_placements(
-            placements, node_ids, cores, DURATION_S, tmp_path,
-            step_s=STEP_S, shard_nodes=8, key="digest-1")
-        assert rebuilt.to_dense().matrix.max() > 0.0
-        assert ShardedFleetUtilization.open(tmp_path).shard_count == \
-            rebuilt.shard_count
 
     def test_invalid_parameters_rejected(self, scheduled, tmp_path):
         placements, node_ids, cores = scheduled
@@ -260,15 +253,15 @@ class TestSizeRule:
                            "STFC CLOUD": True, "STFC SCARF": True,
                            "IMP": False}
 
-    def test_shards_are_sized_to_the_limit(self, limit_nodes, tmp_path):
+    def test_shards_are_sized_to_the_limit(self, limit_nodes, built_stores):
         config = build_iris_snapshot_config(node_scale=0.05)
         limit_nodes(5)
-        SnapshotExperiment(config, shard_dir=tmp_path, shard_key="k").run()
-        store = ShardedFleetUtilization.open(tmp_path / "site-DUR")
-        assert store.shard_nodes == 5
-        assert store.shard_count == -(-44 // 5)
-        # Sites under the limit never touch the shard directory.
-        assert not (tmp_path / "site-CAM").exists()
+        SnapshotExperiment(config).run()
+        shard_nodes, shard_count, _ = built_stores["DUR"]
+        assert shard_nodes == 5
+        assert shard_count == -(-44 // 5)
+        # Sites under the limit never build a shard store.
+        assert "CAM" not in built_stores
 
 
 class TestShardedEngine:
@@ -304,27 +297,30 @@ class TestShardedEngine:
             assert a.best_estimate_kwh == b.best_estimate_kwh
             assert a.mean_utilization == b.mean_utilization
 
-    def test_persistent_shard_dir_populated_and_reused(self, tiny_config,
-                                                       all_out_of_core,
-                                                       tmp_path):
-        runner = SnapshotExperiment(
-            tiny_config, shard_dir=tmp_path, shard_key="digest-x")
-        first = runner.run()
-        site_dirs = sorted(p.name for p in tmp_path.iterdir())
-        assert site_dirs == sorted(
-            f"site-{site.site}" for site in tiny_config.sites)
-        mtimes = {p: (p / SHARD_MANIFEST_NAME).stat().st_mtime_ns
-                  for p in tmp_path.iterdir()}
-        second = runner.run()
-        # Matching manifests mean the shards were served, not rebuilt.
-        for p, mtime in mtimes.items():
-            assert (p / SHARD_MANIFEST_NAME).stat().st_mtime_ns == mtime
-        assert second.total_best_estimate_kwh == first.total_best_estimate_kwh
+    def test_shard_stores_are_removed(self, tiny_config, all_out_of_core,
+                                      scratch, built_stores):
+        SnapshotExperiment(tiny_config).run()
+        assert sorted(built_stores) == sorted(
+            site.site for site in tiny_config.sites)
+        assert all(size > 0 for _, _, size in built_stores.values())
+        assert list(scratch.iterdir()) == []
+
+    def test_failing_reduction_still_removes_its_store(
+            self, tiny_config, all_out_of_core, scratch, monkeypatch):
+        def fail(*args, **kwargs):
+            assert list(scratch.iterdir()), "no shard store to stream"
+            raise RuntimeError("reduction failed")
+
+        monkeypatch.setattr(experiment.MeasurementCampaign, "measure_site",
+                            fail)
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            SnapshotExperiment(tiny_config).run()
+        assert list(scratch.iterdir()) == []
 
 
 class TestPersistedOutOfCore:
     def test_assessment_matches_dense_under_its_own_digest(self, limit_nodes,
-                                                           tmp_path):
+                                                           scratch, tmp_path):
         spec = default_spec(node_scale=0.02)
         dense = Assessment.from_spec(
             spec, substrates=SubstrateCache(persist_dir=tmp_path / "dense")
@@ -342,11 +338,10 @@ class TestPersistedOutOfCore:
                                  factory)
         assert digest != dense_digest
         assert (tmp_path / "dense" / f"{dense_digest}.npz").exists()
-        assert [p.stem for p in cache_dir.glob("*.npz")] == [digest]
-        assert sorted(p.name for p in (cache_dir / "shards" / digest)
-                      .iterdir()) == sorted(
-            f"site-{site}" for site in ("QMUL", "CAM", "DUR", "STFC CLOUD",
-                                        "STFC SCARF", "IMP"))
+        # The shard stores were scratch: only the snapshot entry remains.
+        assert sorted(p.name for p in cache_dir.iterdir()) == \
+            [f"{digest}.json", f"{digest}.npz"]
+        assert list(scratch.iterdir()) == []
 
         reloaded = SubstrateCache(persist_dir=cache_dir)
         assert reloaded.snapshot(spec).total_best_estimate_kwh == \
@@ -401,7 +396,8 @@ class TestCliWiring:
     def test_out_of_core_assess_matches_dense(self, limit_nodes, tmp_path):
         """``repro assess --scale 0.02 --substrate-cache-dir`` answers with
         the dense run's summary digest when every site goes out of core,
-        and leaves a shard directory in the cache."""
+        and leaves no shard bytes behind: the cache holds only the
+        snapshot's ``.npz`` + ``.json`` entry."""
         from repro.cli import main
 
         def assess(name, *extra):
@@ -422,4 +418,5 @@ class TestCliWiring:
                          str(cache_dir))
         assert dense["spec"] == sharded["spec"]
         assert digest(dense["summary"]) == digest(sharded["summary"])
-        assert [p for p in (cache_dir / "shards").iterdir() if p.is_dir()]
+        assert sorted(p.suffix for p in cache_dir.iterdir()) == \
+            [".json", ".npz"]
