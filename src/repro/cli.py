@@ -183,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory to write the regenerated tables as CSV")
     assess.add_argument("--timings", action="store_true",
                         help="report per-site simulation phase timings "
-                             "(workload/schedule/trace/power wall seconds; "
+                             "(calibration/workload/schedule/trace/power "
+                             "wall seconds; "
                              "table or json format only)")
     assess.add_argument("--sweep", action="append", default=None,
                         metavar="AXIS=V1,V2,...",
@@ -513,7 +514,8 @@ def _timings_table_text(timings: dict) -> str:
     if not timings:
         return ("(no phase timings recorded: snapshot served from a cache "
                 "written before timings existed)")
-    phases = ["workload_s", "schedule_s", "trace_s", "power_s", "total_s"]
+    phases = ["calibration_s", "workload_s", "schedule_s", "trace_s", "power_s",
+              "total_s"]
     rows = []
     for site, site_timings in timings.items():
         row = {"site": site}

@@ -4,14 +4,65 @@ The snapshot reproduction needs to drive each simulated site at whatever
 load level makes its average per-node wall power match the per-node power
 implied by the paper's Table 2 (energy / nodes / 24 h).  Because the node
 power model is strictly monotonic in utilisation, that inverse is a simple
-bisection; it is exposed here so examples and the snapshot orchestration
-can use it, and so the assumption (power observed => load inferred) is a
-single, testable piece of code.
+bisection.  :func:`fleet_utilization_for_target_power` inverts a mixed
+fleet's mean power curve and is what the snapshot orchestration calls;
+:func:`utilization_for_target_power` inverts one model.  Keeping them here
+makes the assumption (power observed => load inferred) a single, testable
+piece of code.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
+import numpy as np
+
 from repro.power.node_power import NodePowerModel
+
+#: Halvings of the fleet bisection.  2**-60 is below float64 resolution on
+#: [0, 1], so the answer needs no power tolerance.
+FLEET_BISECTION_STEPS = 60
+
+
+def fleet_utilization_for_target_power(
+    models: Sequence[NodePowerModel], target_wall_power_w: float
+) -> float:
+    """The common utilisation at which a fleet's mean node wall power is the target.
+
+    Every node runs at the same utilisation, and the fleet's power is the
+    plain mean over ``models`` (one per node).  Returns 0.0 when the target
+    is at or below the fleet's idle mean and 1.0 when it is at or above its
+    full-load mean; otherwise bisects [0, 1] in
+    :data:`FLEET_BISECTION_STEPS` fixed halvings.
+
+    Each step evaluates every *distinct* model once and expands the values
+    back to node order before the mean, so the answer is bit-identical to
+    averaging a per-node loop at a cost that does not grow with node count.
+    """
+    distinct: Dict[NodePowerModel, int] = {}
+    index = np.array([distinct.setdefault(model, len(distinct)) for model in models],
+                     dtype=np.intp)
+    if not len(index):
+        raise ValueError("need at least one node power model")
+    unique = list(distinct)
+
+    def mean_power(utilization: float) -> float:
+        values = np.array([model.wall_power_w(utilization) for model in unique],
+                          dtype=np.float64)
+        return float(np.mean(values[index]))
+
+    if target_wall_power_w <= mean_power(0.0):
+        return 0.0
+    if target_wall_power_w >= mean_power(1.0):
+        return 1.0
+    low, high = 0.0, 1.0
+    for _ in range(FLEET_BISECTION_STEPS):
+        mid = 0.5 * (low + high)
+        if mean_power(mid) < target_wall_power_w:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
 
 
 def utilization_for_target_power(
@@ -64,4 +115,5 @@ def clamped_target_power(model: NodePowerModel, target_wall_power_w: float) -> f
                      model.max_wall_power_w))
 
 
-__all__ = ["utilization_for_target_power", "clamped_target_power"]
+__all__ = ["FLEET_BISECTION_STEPS", "fleet_utilization_for_target_power",
+           "utilization_for_target_power", "clamped_target_power"]

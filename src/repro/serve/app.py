@@ -97,9 +97,8 @@ class ServeConfig:
         Bind address; port 0 picks an ephemeral port (tests).
     workers:
         Worker-thread count — how many requests *execute* concurrently.
-        Also the default for ``jobs`` is independent: ``jobs`` controls
-        intra-simulation site concurrency, ``workers`` controls
-        cross-request concurrency.
+        Independent of ``jobs``: ``workers`` controls cross-request
+        concurrency, ``jobs`` the site concurrency inside one simulation.
     queue_limit:
         How many admitted requests may wait beyond the executing
         ``workers`` before new arrivals get 429.

@@ -46,6 +46,7 @@ from repro.core.scenarios import ActiveScenarioGrid, EmbodiedScenarioGrid
 from repro.inventory.catalog import HardwareCatalog, default_catalog
 from repro.inventory.network import NetworkFabric
 from repro.inventory.node import NodeSpec
+from repro.power.calibration import fleet_utilization_for_target_power
 from repro.power.campaign import MeasurementCampaign, SiteEnergyReport
 from repro.power.fleet_power import ShardedPowerBreakdownTrace
 from repro.power.instruments import FacilityMeter, IPMIMeter, PDUMeter, TurbostatMeter
@@ -112,9 +113,11 @@ class SiteSnapshotResult:
     #: before traces were kept (a flat profile is substituted downstream).
     site_power_series: Optional["TimeSeries"] = None
 
-    #: Wall-clock seconds per simulation phase (``workload_s``,
-    #: ``schedule_s``, ``trace_s``, ``power_s``, ``total_s``), recorded by
-    #: the experiment; ``None`` for results built before timings were kept.
+    #: Wall-clock seconds per simulation phase (``calibration_s``,
+    #: ``workload_s``, ``schedule_s``, ``trace_s``, ``power_s``,
+    #: ``total_s``), recorded by the experiment; ``None`` for results built
+    #: before timings were kept.  Results from caches written before
+    #: calibration was timed lack ``calibration_s``.
     #: Diagnostic only — never part of any digest or golden payload.
     timings: Optional[Mapping[str, float]] = None
 
@@ -172,8 +175,9 @@ class SnapshotResult:
     def timings(self) -> Dict[str, Dict[str, float]]:
         """Per-site wall-clock phase seconds, for sites that recorded them.
 
-        Keys are site names; values map phase (``workload_s``,
-        ``schedule_s``, ``trace_s``, ``power_s``, ``total_s``) to seconds.
+        Keys are site names; values map phase (``calibration_s``,
+        ``workload_s``, ``schedule_s``, ``trace_s``, ``power_s``,
+        ``total_s``) to seconds.
         Diagnostic output for ``repro assess --timings`` and perf work —
         deliberately excluded from result digests, goldens and catalogs.
         """
@@ -396,26 +400,10 @@ class SnapshotExperiment:
         """Invert the site's mixed-fleet power curve for the calibration target."""
         if site.target_node_power_w is None:
             return site.default_utilization
-        target = site.target_node_power_w * site.calibration_margin
-        models = [NodePowerModel(spec) for spec in specs]
-
-        def mean_power(utilization: float) -> float:
-            return float(np.mean([m.wall_power_w(utilization) for m in models]))
-
-        low_power = mean_power(0.0)
-        high_power = mean_power(1.0)
-        if target <= low_power:
-            return 0.0
-        if target >= high_power:
-            return 1.0
-        low, high = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (low + high)
-            if mean_power(mid) < target:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return fleet_utilization_for_target_power(
+            [NodePowerModel(spec) for spec in specs],
+            site.target_node_power_w * site.calibration_margin,
+        )
 
     def _build_cluster(self, node_ids: Sequence[str], specs: Sequence[NodeSpec]) -> SimulatedCluster:
         nodes = [
@@ -438,20 +426,22 @@ class SnapshotExperiment:
     def run_site(self, site: SiteSnapshotConfig) -> SiteSnapshotResult:
         """Simulate and measure one site for the snapshot window.
 
-        Records per-phase wall-clock seconds (workload generation,
-        scheduling, trace construction, power modelling + measurement) on
-        the returned result's ``timings`` — the measured baseline future
-        perf work starts from.
+        Records per-phase wall-clock seconds (calibration, workload
+        generation, scheduling, trace construction, power modelling +
+        measurement) on the returned result's ``timings`` — the measured
+        baseline future perf work starts from.
         """
         config = self._config
         t_site = time.perf_counter()
+        timings: Dict[str, float] = {}
         node_ids, specs = self._site_specs(site)
+        t_phase = time.perf_counter()
         target_utilization = self._site_target_utilization(site, specs)
+        timings["calibration_s"] = time.perf_counter() - t_phase
         cluster = self._build_cluster(node_ids, specs)
         duration_s = config.duration_s
         warmup_s = config.warmup_hours * 3600.0
         sharded = out_of_core(site, config)
-        timings: Dict[str, float] = {}
 
         if target_utilization > 0.0:
             t_phase = time.perf_counter()
@@ -555,8 +545,10 @@ class SnapshotExperiment:
 
         ``max_workers`` overrides the instance default for this run.  Sites
         are independent simulations, so with more than one worker they run
-        concurrently on a thread pool (the hot paths are numpy and release
-        the GIL, for the dense and the sharded substrate alike).  Result
+        concurrently on a thread pool.  That buys little at the default
+        scale: job generation and scheduling are pure-Python loops that
+        hold the GIL, and only the trace, power and out-of-core shard
+        stages spend their time in numpy, which releases it.  Result
         order always matches the configuration order, and per-site
         determinism is unaffected (every site derives its own seeds).
         """

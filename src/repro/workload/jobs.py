@@ -71,10 +71,10 @@ class Job:
 class WorkloadProfile:
     """Statistical description of a site's workload.
 
-    The defaults describe a busy high-throughput site; the
-    :func:`repro.power.calibration.utilization_for_target_power` helper is
-    normally used to pick ``target_utilization`` so the simulated site lands
-    on the measured per-node power of Table 2.
+    The defaults describe a busy high-throughput site; the snapshot picks
+    ``target_utilization`` with
+    :func:`repro.power.calibration.fleet_utilization_for_target_power` so
+    the simulated site lands on the measured per-node power of Table 2.
     """
 
     #: Long-run average fraction of the cluster's cores that should be busy.
@@ -196,13 +196,23 @@ class JobGenerator:
             arrivals = arrivals[keep]
         jobs: List[Job] = []
         job_id = 0
-        for arrival in arrivals:
-            # Geometric widths have mean exactly `mean_cores_per_job`.
-            cores = int(min(rng.geometric(1.0 / p.mean_cores_per_job), self._max_cores))
-            runtime = float(rng.lognormal(np.log(p.median_runtime_s), p.runtime_sigma))
+        # The draws stay scalar and in this order: bulk draws would change
+        # the random stream and every job after the first.
+        geometric, lognormal, uniform = rng.geometric, rng.lognormal, rng.uniform
+        # Geometric widths have mean exactly `mean_cores_per_job`.
+        width_p = 1.0 / p.mean_cores_per_job
+        max_cores = self._max_cores
+        log_median = np.log(p.median_runtime_s)
+        sigma = p.runtime_sigma
+        low, high = p.cpu_intensity_low, p.cpu_intensity_high
+        # In place: `arrivals` is a fresh copy (boolean indexing), and a
+        # temporary array here measurably raised the process's peak RSS.
+        arrivals -= warmup_s
+        for submit in arrivals.tolist():
+            cores = int(min(geometric(width_p), max_cores))
+            runtime = float(lognormal(log_median, sigma))
             runtime = max(runtime, 60.0)
-            intensity = float(rng.uniform(p.cpu_intensity_low, p.cpu_intensity_high))
-            submit = arrival - warmup_s
+            intensity = float(uniform(low, high))
             if submit < 0.0:
                 # A warm-up job: only the part of it still running at time
                 # zero matters.  Jobs that would have finished before the
@@ -217,7 +227,7 @@ class JobGenerator:
             jobs.append(
                 Job(
                     job_id=job_id,
-                    submit_time_s=float(submit),
+                    submit_time_s=submit,
                     cores=cores,
                     runtime_s=runtime,
                     cpu_intensity=intensity,

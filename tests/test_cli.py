@@ -298,6 +298,7 @@ class TestTimingsFlag:
         assert main(["assess", "--scale", "0.02", "--timings"]) == 0
         out = capsys.readouterr().out
         assert "Per-site simulation wall-clock" in out
+        assert "calibration_s" in out
         assert "schedule_s" in out
         assert "TOTAL" in out
 
