@@ -53,7 +53,8 @@ def _schedule_sites(config):
     sites = []
     for site in config.sites:
         node_ids, specs = experiment._site_specs(site)
-        target = experiment._site_target_utilization(site, specs)
+        target = experiment._site_target_utilization(
+            site, experiment._site_models(specs))
         cluster = experiment._build_cluster(node_ids, specs)
         profile = WorkloadProfile(
             target_utilization=min(max(target, 0.01), 1.0),

@@ -74,7 +74,8 @@ def _site_workloads(config, target_utilization=None):
     workloads = []
     for site in config.sites:
         node_ids, specs = experiment._site_specs(site)
-        target = experiment._site_target_utilization(site, specs)
+        target = experiment._site_target_utilization(
+            site, experiment._site_models(specs))
         if target_utilization is not None:
             target = target_utilization
         cluster = experiment._build_cluster(node_ids, specs)

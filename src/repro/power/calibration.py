@@ -13,7 +13,7 @@ piece of code.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -38,13 +38,27 @@ def fleet_utilization_for_target_power(
     Each step evaluates every *distinct* model once and expands the values
     back to node order before the mean, so the answer is bit-identical to
     averaging a per-node loop at a cost that does not grow with node count.
+    Distinct models are found by identity first: a fleet shares a few
+    model objects across its nodes, so only the first sighting of each
+    object is compared (by equality) with the models already found.
     """
-    distinct: Dict[NodePowerModel, int] = {}
-    index = np.array([distinct.setdefault(model, len(distinct)) for model in models],
-                     dtype=np.intp)
-    if not len(index):
+    if len(models) == 0:
         raise ValueError("need at least one node power model")
-    unique = list(distinct)
+    unique: List[NodePowerModel] = []
+    slot_of: Dict[int, int] = {}  # id(model) -> position in `unique`
+    slots: List[int] = []
+    for model in models:
+        slot = slot_of.get(id(model))
+        if slot is None:
+            for slot, seen in enumerate(unique):
+                if seen == model:
+                    break
+            else:
+                slot = len(unique)
+                unique.append(model)
+            slot_of[id(model)] = slot
+        slots.append(slot)
+    index = np.array(slots, dtype=np.intp)
 
     def mean_power(utilization: float) -> float:
         values = np.array([model.wall_power_w(utilization) for model in unique],

@@ -394,16 +394,26 @@ class SnapshotExperiment:
             specs.append(storage_spec)
         return node_ids, specs
 
+    @staticmethod
+    def _site_models(specs: Sequence[NodeSpec]) -> List[NodePowerModel]:
+        """One power model per node, shared by the nodes of one spec object."""
+        built: Dict[int, NodePowerModel] = {}
+        models: List[NodePowerModel] = []
+        for spec in specs:
+            model = built.get(id(spec))
+            if model is None:
+                model = built[id(spec)] = NodePowerModel(spec)
+            models.append(model)
+        return models
+
     def _site_target_utilization(
-        self, site: SiteSnapshotConfig, specs: Sequence[NodeSpec]
+        self, site: SiteSnapshotConfig, models: Sequence[NodePowerModel]
     ) -> float:
         """Invert the site's mixed-fleet power curve for the calibration target."""
         if site.target_node_power_w is None:
             return site.default_utilization
         return fleet_utilization_for_target_power(
-            [NodePowerModel(spec) for spec in specs],
-            site.target_node_power_w * site.calibration_margin,
-        )
+            models, site.target_node_power_w * site.calibration_margin)
 
     def _build_cluster(self, node_ids: Sequence[str], specs: Sequence[NodeSpec]) -> SimulatedCluster:
         nodes = [
@@ -435,8 +445,10 @@ class SnapshotExperiment:
         t_site = time.perf_counter()
         timings: Dict[str, float] = {}
         node_ids, specs = self._site_specs(site)
+        # One list for both calibration and the power trace.
+        models = self._site_models(specs)
         t_phase = time.perf_counter()
-        target_utilization = self._site_target_utilization(site, specs)
+        target_utilization = self._site_target_utilization(site, models)
         timings["calibration_s"] = time.perf_counter() - t_phase
         cluster = self._build_cluster(node_ids, specs)
         duration_s = config.duration_s
@@ -480,7 +492,6 @@ class SnapshotExperiment:
                                                   _sample_count(config), 0.0)
                 timings["trace_s"] = time.perf_counter() - t_phase
 
-        models = [NodePowerModel(spec) for spec in specs]
         shard_dir = None
         try:
             if sharded:

@@ -161,9 +161,10 @@ class SimulatedCluster:
         """A :class:`~repro.workload.scheduling_index.FreeCoreIndex` snapshot.
 
         Answers the same leftmost-fit query as
-        :meth:`find_node_with_free_cores` in O(log N); the caller owns the
-        returned index and must mirror subsequent :meth:`allocate` /
-        :meth:`release` calls into it (the indexed scheduler engine does).
+        :meth:`find_node_with_free_cores` in O(log N).  The caller owns the
+        returned index and the cluster does not see its updates: the
+        indexed scheduler allocates and releases through it and writes the
+        final counts back with :meth:`sync_free_cores`.
         """
         from repro.workload.scheduling_index import FreeCoreIndex
 

@@ -161,10 +161,11 @@ class JobGenerator:
         """Generate the job stream for ``[0, duration_s)``.
 
         ``warmup_s`` extends the stream backwards so the cluster is already
-        loaded at time zero (jobs submitted during warm-up have negative
-        ids' submit times clamped to zero but keep their remaining work);
-        the snapshot orchestration uses a warm-up of a few mean runtimes so
-        the measured day is statistically stationary.
+        loaded at time zero: a job submitted during warm-up gets a submit
+        time of zero and only the part of its runtime still left at zero,
+        and a job that would have finished before zero is dropped.  The
+        snapshot orchestration uses a warm-up of a few mean runtimes so the
+        measured day is statistically stationary.
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -195,44 +196,44 @@ class JobGenerator:
             keep = rng.random(len(arrivals)) < acceptance
             arrivals = arrivals[keep]
         jobs: List[Job] = []
+        jobs_append = jobs.append
         job_id = 0
         # The draws stay scalar and in this order: bulk draws would change
         # the random stream and every job after the first.
-        geometric, lognormal, uniform = rng.geometric, rng.lognormal, rng.uniform
+        geometric, lognormal, random = rng.geometric, rng.lognormal, rng.random
         # Geometric widths have mean exactly `mean_cores_per_job`.
         width_p = 1.0 / p.mean_cores_per_job
         max_cores = self._max_cores
         log_median = np.log(p.median_runtime_s)
         sigma = p.runtime_sigma
-        low, high = p.cpu_intensity_low, p.cpu_intensity_high
+        # numpy's `uniform(low, high)` is `low + (high - low) * random()`
+        # on one draw; spelled out, it skips numpy's argument handling.
+        low = p.cpu_intensity_low
+        span = p.cpu_intensity_high - low
         # In place: `arrivals` is a fresh copy (boolean indexing), and a
         # temporary array here measurably raised the process's peak RSS.
         arrivals -= warmup_s
         for submit in arrivals.tolist():
-            cores = int(min(geometric(width_p), max_cores))
-            runtime = float(lognormal(log_median, sigma))
-            runtime = max(runtime, 60.0)
-            intensity = float(uniform(low, high))
+            cores = geometric(width_p)
+            if cores > max_cores:
+                cores = max_cores
+            runtime = lognormal(log_median, sigma)
+            if runtime < 60.0:
+                runtime = 60.0
+            intensity = low + span * random()
             if submit < 0.0:
                 # A warm-up job: only the part of it still running at time
                 # zero matters.  Jobs that would have finished before the
                 # window opened are dropped; the rest carry their remaining
                 # runtime, which leaves the cluster in (approximately) its
                 # stationary state at the start of the measured window.
-                remaining = runtime + submit
-                if remaining <= 0.0:
+                runtime += submit
+                if runtime <= 0.0:
                     continue
-                runtime = max(remaining, 60.0)
+                if runtime < 60.0:
+                    runtime = 60.0
                 submit = 0.0
-            jobs.append(
-                Job(
-                    job_id=job_id,
-                    submit_time_s=submit,
-                    cores=cores,
-                    runtime_s=runtime,
-                    cpu_intensity=intensity,
-                )
-            )
+            jobs_append(Job(job_id, submit, cores, runtime, intensity))
             job_id += 1
         return jobs
 

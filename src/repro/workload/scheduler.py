@@ -25,6 +25,7 @@ generator.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -113,9 +114,10 @@ class BackfillScheduler:
         ``[0, duration_s)`` reflects the sustained load), but statistics and
         traces only consider the requested window.
 
-        The loop resolves first-fit via a segment-tree index, keeps the
-        pending queue in a tombstoned deque and computes EASY reservations
-        by a lazy early-exit heap walk (:meth:`_run_indexed`).
+        The loop allocates and releases through a segment-tree index of
+        free cores, keeps the pending queue in a tombstoned deque and
+        computes EASY reservations by a lazy early-exit heap walk
+        (:meth:`_run_indexed`).
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -134,18 +136,29 @@ class BackfillScheduler:
         placements, waits, backfilled = self._run_indexed(pending)
         stats.jobs_started = len(placements)
         stats.backfilled_jobs = backfilled
-        stats.jobs_completed_in_window = sum(
-            1 for p in placements if p.end_time_s <= duration_s
-        )
+        completed = 0
+
+        def delivered_terms():
+            # A placement delivers max(0, min(end, d) - start) * cores
+            # core-seconds in the window; a start past d leaves nothing
+            # either way.  Counting completions here makes this the one
+            # pass over the placements.
+            nonlocal completed
+            for placement in placements:
+                end = placement.end_time_s
+                if end <= duration_s:
+                    completed += 1
+                else:
+                    end = duration_s
+                span = end - placement.start_time_s
+                yield (span if span > 0.0 else 0.0) * placement.job.cores
+
+        # Summed by ``sum`` in placement order, as always, and streamed: a
+        # list of the terms would raise the process's peak memory.
+        stats.core_seconds_delivered = float(sum(delivered_terms()))
+        stats.jobs_completed_in_window = completed
         stats.mean_wait_s = float(np.mean(waits)) if waits else 0.0
         stats.max_wait_s = float(np.max(waits)) if waits else 0.0
-        stats.core_seconds_delivered = float(
-            sum(
-                max(0.0, min(p.end_time_s, duration_s) - min(p.start_time_s, duration_s))
-                * p.job.cores
-                for p in placements
-            )
-        )
         return placements, stats
 
     def _run_indexed(
@@ -154,29 +167,27 @@ class BackfillScheduler:
         """The indexed event loop: same decisions, sublinear data structures.
 
         Every decision point mirrors the seed event loop exactly (kept as
-        the bit-identity oracle in ``tests/oracles/scheduler.py``) —
-        first-fit answers come from the cluster's segment-tree index
-        instead of an O(N) scan, the pending queue is a tombstoned deque
-        instead of a ``pop(0)``/``remove`` list, admission batches over a
-        pre-sorted submit-time array via ``searchsorted``, and the EASY
-        reservation walks the running heap lazily with early exit, cached
-        on ``(head job, allocation state)`` so a blocked head crossing
-        several arrival-only events does not recompute it.
+        the bit-identity oracle in ``tests/oracles/scheduler.py``).  The
+        cluster's :class:`~repro.workload.scheduling_index.FreeCoreIndex`
+        is the only record of free cores during the loop: ``take`` finds
+        the first fit and allocates in one pass instead of an O(N) scan,
+        ``give`` releases, and the EASY reservation reads the counts from
+        it.  The pending queue is a tombstoned deque instead of a
+        ``pop(0)``/``remove`` list, admission batches are cut by
+        ``bisect`` over the sorted submit times, and the reservation walks
+        the running heap lazily with early exit, cached on ``(head job,
+        allocation state)`` so a blocked head crossing several
+        arrival-only events does not recompute it.
         """
         cluster = self._cluster
         placements: List[Placement] = []
-        # Local free-core mirror (plain ints) plus the leftmost-fit index.
         # The cluster is NOT updated per operation — two numpy scalar
         # updates per placement would dominate this loop — its state is
-        # written back wholesale after the loop (``sync_free_cores``),
-        # ending bit-identical to the seed loop's incremental updates.
-        free = [node.free_cores for node in cluster.nodes]
+        # written back wholesale from the index's leaves after the loop
+        # (``sync_free_cores``), ending bit-identical to the seed loop's
+        # incremental updates.
         index = cluster.core_index()
-        submit_times = np.array([job.submit_time_s for job in pending],
-                                dtype=np.float64)
-        # Plain-float copy: per-event comparisons against the next submit
-        # time must not pay numpy scalar extraction.
-        submit_list: List[float] = submit_times.tolist()
+        submit_list: List[float] = [job.submit_time_s for job in pending]
         # (end_time, node_index, cores) min-heap of running jobs.
         running: List[Tuple[float, int, int]] = []
         queue = PendingJobQueue()
@@ -195,47 +206,35 @@ class BackfillScheduler:
         cached_reservation = INFINITY = float("inf")
         # Hot-path local bindings (attribute lookups add up at fleet scale).
         heappush, heappop = heapq.heappush, heapq.heappop
-        index_first_fit, index_set_free = index.first_fit, index.set_free
+        take, give = index.take, index.give
         queue_head, queue_pop_head = queue.head, queue.pop_head
         placements_append, waits_append = placements.append, waits.append
         depth = self._backfill_depth
 
         while submit_index < count or queue:
-            # Admit all jobs submitted up to the current time.  The batch
-            # boundary comes from one searchsorted over the pre-sorted
-            # submit times, guarded by a plain compare so the (frequent)
-            # nothing-to-admit case costs no numpy call at all.
+            # Admit all jobs submitted up to the current time, guarded by a
+            # plain compare so the (frequent) nothing-to-admit case costs
+            # no search at all.
             if submit_index < count and submit_list[submit_index] <= now:
-                admit_until = int(np.searchsorted(submit_times, now,
-                                                  side="right"))
-                while submit_index < admit_until:
-                    queue.append(pending[submit_index])
-                    submit_index += 1
+                admit_until = bisect_right(submit_list, now, submit_index)
+                queue.extend(pending[submit_index:admit_until])
+                submit_index = admit_until
             progressed = False
             # FCFS: start queue-head jobs while they fit.
             while queue:
                 while running and running[0][0] <= now:
-                    end_time, node_index, cores = heappop(running)
-                    new_free = free[node_index] + cores
-                    free[node_index] = new_free
-                    index_set_free(node_index, new_free)
+                    _, node_index, cores = heappop(running)
+                    give(node_index, cores)
                     version += 1
-                    if end_time > now:  # pragma: no cover - end <= now here
-                        now = end_time
                 job = queue_head()
                 cores = job.cores
-                node_index = index_first_fit(cores)
-                if node_index is None:
+                node_index = take(cores)
+                if node_index < 0:
                     break
-                new_free = free[node_index] - cores
-                free[node_index] = new_free
-                index_set_free(node_index, new_free)
                 version += 1
                 end_time = now + job.runtime_s
                 heappush(running, (end_time, node_index, cores))
-                placements_append(Placement(job=job, node_index=node_index,
-                                            start_time_s=now,
-                                            end_time_s=end_time))
+                placements_append(Placement(job, node_index, now, end_time))
                 waits_append(now - job.submit_time_s)
                 queue_pop_head()
                 progressed = True
@@ -244,25 +243,21 @@ class BackfillScheduler:
                 head = queue_head()
                 if head.job_id != cached_head_id or version != cached_version:
                     cached_reservation = earliest_fit_time(
-                        head.cores, running, free)
+                        head.cores, running, index)
                     cached_head_id = head.job_id
                     cached_version = version
                 reservation = cached_reservation
                 for candidate in queue.backfill_candidates(depth):
                     if now + candidate.runtime_s <= reservation:
                         cores = candidate.cores
-                        node_index = index_first_fit(cores)
-                        if node_index is None:
+                        node_index = take(cores)
+                        if node_index < 0:
                             continue
-                        new_free = free[node_index] - cores
-                        free[node_index] = new_free
-                        index_set_free(node_index, new_free)
                         version += 1
                         end_time = now + candidate.runtime_s
                         heappush(running, (end_time, node_index, cores))
-                        placements_append(Placement(
-                            job=candidate, node_index=node_index,
-                            start_time_s=now, end_time_s=end_time))
+                        placements_append(
+                            Placement(candidate, node_index, now, end_time))
                         waits_append(now - candidate.submit_time_s)
                         queue.discard(candidate)
                         backfilled += 1
@@ -283,16 +278,14 @@ class BackfillScheduler:
                     next_event = min(now + 1.0, next_submission)
                 while running and running[0][0] <= next_event:
                     end_time, node_index, cores = heappop(running)
-                    new_free = free[node_index] + cores
-                    free[node_index] = new_free
-                    index_set_free(node_index, new_free)
+                    give(node_index, cores)
                     version += 1
                     if end_time > now:
                         now = end_time
                 if next_event > now:
                     now = next_event
 
-        cluster.sync_free_cores(free)
+        cluster.sync_free_cores(index.counts())
         return placements, waits, backfilled
 
     # -- trace construction --------------------------------------------------------

@@ -15,11 +15,12 @@ This module provides drop-in replacements with the *same decision
 semantics* — the indexed loop must produce bit-identical placement
 sequences — but sublinear cost:
 
-* :class:`FreeCoreIndex` — a binary max-tree over per-node free-core
-  counts answering "leftmost node with at least ``c`` free cores"
-  (exactly the first-fit-in-index-order semantics
+* :class:`FreeCoreIndex` — a binary max-tree whose leaves are the
+  per-node free-core counts.  ``take(c)`` allocates on the leftmost node
+  with at least ``c`` free cores (exactly the first-fit-in-index-order
+  semantics
   :meth:`~repro.workload.cluster.SimulatedCluster.find_node_with_free_cores`
-  pins) in O(log N), with O(log N) point updates.
+  pins) and ``give(j, c)`` releases, each in one O(log N) pass.
 * :class:`PendingJobQueue` — a deque plus tombstone set: O(1) head
   pop, O(1) amortised removal of backfilled jobs from the middle.
 * :func:`earliest_fit_time` — the EASY reservation computed by walking
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.workload.jobs import Job
 
@@ -46,11 +47,18 @@ class FreeCoreIndex:
     node ``j``'s current free cores.  Padding leaves hold 0 free cores and
     are unreachable for any request of at least one core.
 
-    ``first_fit(c)`` descends left-first, so it returns exactly the
-    lowest-index node with ``free >= c`` — the same answer as the O(N)
-    array scan in
-    :meth:`~repro.workload.cluster.SimulatedCluster.find_node_with_free_cores`,
-    in O(log N).
+    The leaves *are* the free counts, so the index reads them out directly
+    (``index[j]``, :meth:`counts`) and the scheduling loop keeps no other
+    copy.  Each update is fused with the query the loop makes before it:
+
+    * :meth:`take` descends left-first to exactly the lowest-index node
+      with ``free >= c`` (the answer of the O(N) array scan in
+      :meth:`~repro.workload.cluster.SimulatedCluster.find_node_with_free_cores`),
+      allocates there and repairs the ancestors on the way back up;
+    * :meth:`give` releases cores and raises only the ancestors whose
+      maximum is now smaller — an increase never needs the sibling.
+
+    Both are O(log N).
     """
 
     __slots__ = ("_size", "_count", "_tree")
@@ -83,36 +91,56 @@ class FreeCoreIndex:
             raise IndexError(f"node index {node_index} out of range")
         return self._tree[self._size + node_index]
 
-    def set_free(self, node_index: int, free: int) -> None:
-        """Record that ``node_index`` now has ``free`` cores free."""
-        if not 0 <= node_index < self._count:
-            raise IndexError(f"node index {node_index} out of range")
-        tree = self._tree
-        i = self._size + node_index
-        tree[i] = free
-        i >>= 1
-        while i:
-            left, right = tree[2 * i], tree[2 * i + 1]
-            best = left if left >= right else right
-            if tree[i] == best:
-                break  # ancestors are already consistent
-            tree[i] = best
-            i >>= 1
+    __getitem__ = free
 
-    def first_fit(self, cores: int) -> Optional[int]:
-        """Lowest node index with at least ``cores`` free, else ``None``."""
+    def counts(self) -> List[int]:
+        """Every node's free cores, in node order (a fresh list)."""
+        return self._tree[self._size:self._size + self._count]
+
+    def take(self, cores: int) -> int:
+        """Allocate ``cores`` on the lowest-index node that fits them.
+
+        Returns that node's index, or -1 (changing nothing) when no node
+        has ``cores`` free.
+        """
         if cores <= 0:
             raise ValueError("cores must be positive")
         tree = self._tree
         if tree[1] < cores:
-            return None
+            return -1
         i = 1
         size = self._size
         while i < size:
             i <<= 1
             if tree[i] < cores:
                 i += 1
-        return i - size
+        node_index = i - size
+        best = tree[i] - cores
+        tree[i] = best
+        while i > 1:
+            sibling = tree[i ^ 1]
+            if sibling > best:
+                best = sibling
+            i >>= 1
+            if tree[i] == best:
+                break  # ancestors are already consistent
+            tree[i] = best
+        return node_index
+
+    def give(self, node_index: int, cores: int) -> None:
+        """Release ``cores`` back to ``node_index``."""
+        if not 0 <= node_index < self._count:
+            raise IndexError(f"node index {node_index} out of range")
+        if cores <= 0:
+            raise ValueError("cores must be positive")
+        tree = self._tree
+        i = self._size + node_index
+        value = tree[i] + cores
+        tree[i] = value
+        i >>= 1
+        while i and tree[i] < value:
+            tree[i] = value
+            i >>= 1
 
 
 class PendingJobQueue:
@@ -142,6 +170,10 @@ class PendingJobQueue:
     def append(self, job: Job) -> None:
         self._entries.append(job)
         self._live += 1
+
+    def extend(self, jobs: Sequence[Job]) -> None:
+        self._entries.extend(jobs)
+        self._live += len(jobs)
 
     def _skip_dead_head(self) -> None:
         entries, tombstones = self._entries, self._tombstones
@@ -215,8 +247,9 @@ def earliest_fit_time(
     interchangeable — identical ``(end, node, cores)`` contributions — so
     the frontier's index tie-break cannot change the returned time.
 
-    Returns ``inf`` when even draining every running job never frees
-    enough cores on one node.
+    ``free_cores`` is indexed by node: a list of counts, or the loop's
+    :class:`FreeCoreIndex` itself.  Returns ``inf`` when even draining
+    every running job never frees enough cores on one node.
     """
     if not running:
         return float("inf")

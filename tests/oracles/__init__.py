@@ -2,7 +2,8 @@
 
 Each module keeps, verbatim in semantics, the loop a production stage
 replaced: the seed event-driven scheduler (:mod:`oracles.scheduler`), the
-per-placement trace builder (also there), the per-node power conversion
+per-placement trace builder (also there), the seed job-stream generator
+(:mod:`oracles.jobs`), the per-node power conversion
 (:mod:`oracles.power`), the per-node fleet calibration
 (:mod:`oracles.calibration`), the per-sample temporal integration
 (:mod:`oracles.temporal`) and the per-spec batch loops

@@ -7,6 +7,9 @@ full sort of the running set per blocked head).  It has the signature of
 indexed loop must match it bit for bit: same placements, statistics and
 final cluster state.
 
+:func:`window_statistics` is the seed ``run``'s two passes computing the
+in-window statistics, which ``run`` now takes in one.
+
 :func:`build_trace_loop` is the per-placement utilisation builder that
 ``FleetUtilization.from_placements`` replaced; it has the signature of
 ``BackfillScheduler.build_trace`` and agrees with it to float64 summation
@@ -152,6 +155,25 @@ def run(scheduler: BackfillScheduler, jobs: Sequence[Job],
         del scheduler._run_indexed
 
 
+def window_statistics(placements: Sequence[Placement],
+                      duration_s: float) -> Tuple[int, float]:
+    """The seed ``run``'s two window passes over ``placements``.
+
+    Returns ``(jobs_completed_in_window, core_seconds_delivered)`` as the
+    seed computed them, one generator pass each; ``BackfillScheduler.run``
+    fuses them into one loop and must give the same int and float.
+    """
+    completed = sum(1 for p in placements if p.end_time_s <= duration_s)
+    delivered = float(
+        sum(
+            max(0.0, min(p.end_time_s, duration_s) - min(p.start_time_s, duration_s))
+            * p.job.cores
+            for p in placements
+        )
+    )
+    return completed, delivered
+
+
 def build_trace_loop(
     scheduler: BackfillScheduler,
     placements: Sequence[Placement],
@@ -196,4 +218,5 @@ def build_trace_loop(
     return UtilizationTrace(start_s, step_s, node_ids, matrix)
 
 
-__all__ = ["build_trace_loop", "head_reservation", "run", "run_reference"]
+__all__ = ["build_trace_loop", "head_reservation", "run", "run_reference",
+           "window_statistics"]

@@ -58,14 +58,23 @@ class TestIrisSites:
             expected = fleet_utilization_loop(models, target)
             assert 0.0 < expected < 1.0, site.site
             assert fleet_utilization_for_target_power(models, target) == expected
-            assert experiment._site_target_utilization(site, specs) == expected
+            assert experiment._site_target_utilization(
+                site, experiment._site_models(specs)) == expected
 
     def test_model_calls_bounded_by_distinct_models(self, iris_sites,
                                                     wall_power_calls):
         for experiment, site, specs in iris_sites:
             wall_power_calls.clear()
-            experiment._site_target_utilization(site, specs)
+            experiment._site_target_utilization(
+                site, experiment._site_models(specs))
             distinct = len(set(specs))
+            assert 0 < len(wall_power_calls) <= distinct * CALLS_PER_MODEL, (
+                site.site, len(specs), len(wall_power_calls))
+            # One model object per node: equal objects still count once.
+            wall_power_calls.clear()
+            fleet_utilization_for_target_power(
+                [NodePowerModel(spec) for spec in specs],
+                site.target_node_power_w * site.calibration_margin)
             assert 0 < len(wall_power_calls) <= distinct * CALLS_PER_MODEL, (
                 site.site, len(specs), len(wall_power_calls))
 

@@ -11,7 +11,7 @@ structures against naive O(N) oracles.
 import heapq
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import scheduler as oracle
@@ -79,6 +79,22 @@ class TestEngineDifferential:
         assert indexed[1].as_dict() == reference[1].as_dict()
         assert indexed[2] == reference[2]
 
+    @given(cluster=scheduler_clusters(), jobs=job_streams(),
+           duration_s=st.sampled_from([1e-3, 50.0, 250.0, 600.0]))
+    @example(cluster=_cluster([4]), jobs=[
+        Job(job_id=0, submit_time_s=0.0, cores=4, runtime_s=50.0),
+        Job(job_id=1, submit_time_s=10.0, cores=2, runtime_s=20.0),
+        Job(job_id=2, submit_time_s=20.0, cores=2, runtime_s=5.0),
+    ], duration_s=50.0)  # jobs ending and starting exactly at the window end
+    @settings(max_examples=80, deadline=None)
+    def test_window_statistics_match_seed_passes(self, cluster, jobs,
+                                                 duration_s):
+        """Jobs ending past, and starting after, the window end included."""
+        placements, stats = BackfillScheduler(cluster).run(jobs, duration_s)
+        completed, delivered = oracle.window_statistics(placements, duration_s)
+        assert stats.jobs_completed_in_window == completed
+        assert stats.core_seconds_delivered == delivered
+
     def test_zero_backfill_depth_pure_fcfs(self):
         cluster = _cluster([4, 4])
         jobs = [
@@ -133,56 +149,73 @@ class TestFreeCoreIndex:
         with pytest.raises(ValueError):
             FreeCoreIndex([4, -1])
 
-    def test_first_fit_requires_positive_cores(self):
+    def test_take_and_give_require_positive_cores(self):
+        index = FreeCoreIndex([4])
         with pytest.raises(ValueError):
-            FreeCoreIndex([4]).first_fit(0)
+            index.take(0)
+        with pytest.raises(ValueError):
+            index.give(0, 0)
+        assert index.counts() == [4]
 
     def test_bounds_checked(self):
         index = FreeCoreIndex([4, 8])
         with pytest.raises(IndexError):
             index.free(2)
         with pytest.raises(IndexError):
-            index.set_free(-1, 3)
+            index.give(-1, 3)
+        with pytest.raises(IndexError):
+            index.give(2, 3)
+        assert index[1] == 8
+        assert index.node_count == 2
 
     def test_leftmost_semantics(self):
         index = FreeCoreIndex([2, 8, 8, 1])
-        assert index.first_fit(1) == 0
-        assert index.first_fit(3) == 1    # leftmost of the two eights
-        assert index.first_fit(8) == 1
-        assert index.first_fit(9) is None
+        assert index.take(1) == 0
+        assert index.take(3) == 1    # leftmost of the two eights
+        assert index.take(8) == 2    # node 1 now has 5
+        assert index.take(9) == -1
+        assert index.counts() == [1, 5, 0, 1]
 
     def test_updates_tracked(self):
         index = FreeCoreIndex([4, 4, 4])
-        index.set_free(0, 0)
-        assert index.first_fit(1) == 1
-        index.set_free(1, 2)
-        assert index.first_fit(3) == 2
-        index.set_free(0, 4)
-        assert index.first_fit(3) == 0
-        assert index.free(0) == 4
+        assert index.take(4) == 0
+        assert index.take(1) == 1
+        assert index.take(4) == 2
+        assert index.take(4) == -1
+        index.give(0, 4)
+        assert index.take(3) == 0
+        index.give(1, 1)
+        assert index.take(4) == 1
+        assert index.free(0) == 1
+        assert index.counts() == [1, 0, 0]
 
     @given(
         free=st.lists(st.integers(min_value=0, max_value=64),
                       min_size=1, max_size=33),
         operations=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=1000),
-                      st.integers(min_value=0, max_value=64),
+            st.tuples(st.booleans(),
+                      st.integers(min_value=0, max_value=1000),
                       st.integers(min_value=1, max_value=64)),
             max_size=50),
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_naive_scan(self, free, operations):
-        """After arbitrary updates, first_fit == leftmost O(N) array scan."""
+        """take/give == leftmost O(N) array scan plus plain list updates."""
         index = FreeCoreIndex(free)
         counts = list(free)
-        for position, new_free, request in operations:
-            node = position % len(counts)
-            index.set_free(node, new_free)
-            counts[node] = new_free
-            expected = next(
-                (i for i, value in enumerate(counts) if value >= request),
-                None)
-            assert index.first_fit(request) == expected
+        for is_take, position, cores in operations:
+            if is_take:
+                expected = next(
+                    (i for i, value in enumerate(counts) if value >= cores),
+                    -1)
+                assert index.take(cores) == expected
+                if expected >= 0:
+                    counts[expected] -= cores
+            else:
+                node = position % len(counts)
+                index.give(node, cores)
+                counts[node] += cores
+            assert index.counts() == counts
         for node, value in enumerate(counts):
             assert index.free(node) == value
 
@@ -305,7 +338,7 @@ class TestClusterSupport:
         index = cluster.core_index()
         assert index.free(0) == 1
         assert index.free(1) == 8
-        assert index.first_fit(2) == 1
+        assert index.take(2) == 1
 
     def test_sync_free_cores_roundtrip(self):
         cluster = _cluster([4, 8])
