@@ -23,7 +23,7 @@ import numpy as np
 from repro.seeding import as_generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """A batch job.
 

@@ -20,6 +20,19 @@ Scheduling policy
 Jobs in this model never span nodes (matching the high-throughput IRIS
 workload); wide requests are capped at the node core count by the job
 generator.
+
+Free flow
+---------
+While nobody is queued, the loop does not step through events: it takes
+each arrival in turn, releases the running jobs that have ended by its
+submit time and starts it at once.  Only an arrival that does not fit
+hands over to the event loop.  This makes the same decisions as stepping
+event by event: with an empty queue a completion-only event admits
+nothing, starts nothing and computes no reservation, releases commute,
+and the free-core index is a function of its leaves, so each start sees
+exactly the free cores the event loop would show it.  In the full-scale
+IRIS snapshot no job waits at any site, so its whole schedule is free
+flow.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from repro.workload.scheduling_index import (
 )
 from repro.workload.utilization import UtilizationTrace
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """A job's execution record."""
 
@@ -117,7 +130,9 @@ class BackfillScheduler:
         The loop allocates and releases through a segment-tree index of
         free cores, keeps the pending queue in a tombstoned deque and
         computes EASY reservations by a lazy early-exit heap walk
-        (:meth:`_run_indexed`).
+        (:meth:`_run_indexed`).  While the queue is empty it starts each
+        arrival on submit without stepping through completions (the
+        free-flow phase in the module docstring).
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -178,6 +193,25 @@ class BackfillScheduler:
         the running heap lazily with early exit, cached on ``(head job,
         allocation state)`` so a blocked head crossing several
         arrival-only events does not recompute it.
+
+        Each outer iteration opens with the **free-flow phase** when the
+        queue is empty: the pending jobs are taken one at a time, in order.
+        An arrival after ``now`` moves ``now`` to its submit time; every
+        running job ending by ``now`` is released, in heap order, and one
+        ``take`` starts the arrival.  The first arrival that does not fit
+        is queued and the iteration carries on as the event loop,
+        unchanged.  The event loop's time advance then runs only while
+        somebody is queued.
+
+        Stepping event by event reaches the same state.  With nobody
+        waiting, each completion-only event only releases cores, and the
+        advances end exactly at the next arrival, having released the same
+        jobs in the same heap order.  ``give`` calls commute and the
+        max-tree is a function of its leaves, so every ``take`` sees the
+        leaves the event loop would give it, and ``now`` ends the same.  A
+        blocked arrival is retried once by the FCFS pass, which changes
+        nothing, and the rest of its batch is admitted behind it, as the
+        event loop would have queued them.
         """
         cluster = self._cluster
         placements: List[Placement] = []
@@ -211,7 +245,39 @@ class BackfillScheduler:
         placements_append, waits_append = placements.append, waits.append
         depth = self._backfill_depth
 
-        while submit_index < count or queue:
+        while True:
+            progressed = False
+            if not queue:
+                # Free flow (see the docstring): start each arrival on
+                # submit, and fall into the event loop on the first one
+                # that does not fit.
+                while submit_index < count:
+                    job = pending[submit_index]
+                    submit = submit_list[submit_index]
+                    submit_index += 1
+                    if submit > now:
+                        now = submit
+                        progressed = False
+                    while running and running[0][0] <= now:
+                        _, node_index, cores = heappop(running)
+                        give(node_index, cores)
+                    cores = job.cores
+                    node_index = take(cores)
+                    if node_index < 0:
+                        # As the event loop's iteration at ``now`` would
+                        # hold it: at the queue head, ``progressed`` set by
+                        # the same-time starts before it.  The version bump
+                        # retires any cached reservation.
+                        queue.append(job)
+                        version += 1
+                        break
+                    end_time = now + job.runtime_s
+                    heappush(running, (end_time, node_index, cores))
+                    placements_append(Placement(job, node_index, now, end_time))
+                    waits_append(now - submit)
+                    progressed = True
+                else:
+                    break
             # Admit all jobs submitted up to the current time, guarded by a
             # plain compare so the (frequent) nothing-to-admit case costs
             # no search at all.
@@ -219,7 +285,6 @@ class BackfillScheduler:
                 admit_until = bisect_right(submit_list, now, submit_index)
                 queue.extend(pending[submit_index:admit_until])
                 submit_index = admit_until
-            progressed = False
             # FCFS: start queue-head jobs while they fit.
             while queue:
                 while running and running[0][0] <= now:
@@ -262,8 +327,10 @@ class BackfillScheduler:
                         queue.discard(candidate)
                         backfilled += 1
                         progressed = True
-            if queue or submit_index < count:
-                # Advance time to the next event: a completion or a submission.
+            if queue:
+                # Advance time to the next event: a completion or a
+                # submission.  With the queue empty the free-flow phase
+                # advances instead, straight to the next arrival.
                 next_completion = running[0][0] if running else INFINITY
                 next_submission = (submit_list[submit_index]
                                    if submit_index < count else INFINITY)

@@ -188,6 +188,32 @@ def job_streams(draw, max_jobs: int = 30, max_cores: int = 10,
     ]
 
 
+@st.composite
+def bursty_job_streams(draw, max_bursts: int = 8, max_batch: int = 8,
+                       max_cores: int = 8):
+    """Job streams that alternate free flow and contention.
+
+    Bursts of same-instant submissions (a batch may block anywhere in its
+    middle) are separated by gaps that may or may not drain the cluster.
+    Streams can start at 1e6 s, where a 1e-12 s runtime is absorbed by
+    the start time: such a job ends at the instant it starts, and the
+    cores it held must be released before the next same-time start.
+    """
+    now = draw(st.sampled_from([0.0, 1e6]))
+    jobs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_bursts))):
+        now += draw(st.sampled_from([0.0, 0.5, 5.0, 50.0, 500.0]))
+        for _ in range(draw(st.integers(min_value=1, max_value=max_batch))):
+            jobs.append(Job(
+                job_id=len(jobs),
+                submit_time_s=now,
+                cores=draw(st.integers(min_value=1, max_value=max_cores)),
+                runtime_s=draw(st.sampled_from(
+                    [1e-12, 0.25, 3.0, 40.0, 400.0])),
+            ))
+    return jobs
+
+
 # -- site snapshot configurations ----------------------------------------------
 
 @st.composite
@@ -214,6 +240,7 @@ __all__ = [
     "analysis_overrides",
     "assessment_specs",
     "bounded_distributions",
+    "bursty_job_streams",
     "factors",
     "finite_positive",
     "intensities",

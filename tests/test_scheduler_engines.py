@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import scheduler as oracle
-from strategies import job_streams, scheduler_clusters
+from strategies import bursty_job_streams, job_streams, scheduler_clusters
 
 from repro.api.spec import AssessmentSpec
 from repro.snapshot.config import build_iris_snapshot_config
@@ -52,6 +52,17 @@ def _run_both(cluster, jobs, duration_s, backfill_depth=50):
     return outcomes
 
 
+def _contended_workload():
+    """A small cluster and a six-hour stream at a 0.95 utilisation target."""
+    cluster = _cluster([16, 8, 4, 32, 8, 16])
+    profile = WorkloadProfile(target_utilization=0.95,
+                              mean_cores_per_job=6.0,
+                              median_runtime_s=600.0)
+    jobs = JobGenerator(profile, cluster.total_cores, seed=11).generate(
+        duration_s=6 * 3600.0)
+    return cluster, jobs
+
+
 class TestEngineDifferential:
     """indexed == seed loop, bit for bit."""
 
@@ -67,12 +78,7 @@ class TestEngineDifferential:
 
     def test_generated_contended_stream_with_backfills(self):
         """A realistic contended stream must exercise the backfill path."""
-        cluster = _cluster([16, 8, 4, 32, 8, 16])
-        profile = WorkloadProfile(target_utilization=0.95,
-                                  mean_cores_per_job=6.0,
-                                  median_runtime_s=600.0)
-        jobs = JobGenerator(profile, cluster.total_cores, seed=11).generate(
-            duration_s=6 * 3600.0)
+        cluster, jobs = _contended_workload()
         reference, indexed = _run_both(cluster, jobs, duration_s=6 * 3600.0)
         assert reference[1].backfilled_jobs > 0
         assert indexed[0] == reference[0]
@@ -109,6 +115,144 @@ class TestEngineDifferential:
         # job 1 is unschedulable (wider than any node); job 2 waits behind
         # nothing once job 1 is dropped.
         assert reference[1].jobs_unschedulable == 1
+
+
+def _assert_same(reference, indexed):
+    assert indexed[0] == reference[0]
+    assert indexed[1].as_dict() == reference[1].as_dict()
+    assert indexed[2] == reference[2]
+
+
+class TestFreeFlowTransitions:
+    """The free-flow phase hands over to the event loop and back exactly.
+
+    While nobody is queued the indexed loop starts each arrival on submit
+    instead of iterating over every completion; these streams switch
+    between that phase and contention as often as possible.
+    """
+
+    @given(cluster=scheduler_clusters(max_nodes=4), jobs=bursty_job_streams(),
+           depth=st.sampled_from([0, 1, 50]))
+    @settings(max_examples=200, deadline=None)
+    def test_bursty_streams_bit_identical(self, cluster, jobs, depth):
+        _assert_same(*_run_both(cluster, jobs, duration_s=1e6 + 3000.0,
+                                backfill_depth=depth))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("depth", [0, 50])
+    def test_alternating_quiet_and_contended_phases(self, seed, depth):
+        """Quiet hours start every job on submit; busy hours queue."""
+        cluster = _cluster([8, 4, 8, 2])
+        jobs = []
+        for hour in range(6):
+            profile = WorkloadProfile(
+                target_utilization=1.0 if hour % 2 else 0.05,
+                mean_cores_per_job=3.0, median_runtime_s=900.0)
+            stream = JobGenerator(profile, cluster.total_cores,
+                                  seed=seed * 10 + hour).generate(3600.0)
+            jobs += [Job(len(jobs) + job.job_id,
+                         job.submit_time_s + hour * 3600.0, job.cores,
+                         job.runtime_s) for job in stream]
+        reference, indexed = _run_both(cluster, jobs, duration_s=6 * 3600.0,
+                                       backfill_depth=depth)
+        _assert_same(reference, indexed)
+        waits = [p.wait_time_s for p in reference[0]]
+        assert waits.count(0.0) > 0 and max(waits) > 0.0
+
+    @pytest.mark.parametrize("depth", [0, 50])
+    def test_block_mid_batch(self, depth):
+        """The second of four same-time arrivals blocks; the third may
+        backfill around it, the fourth may not."""
+        cluster = _cluster([4, 4])
+        jobs = [
+            Job(0, 0.0, 4, 50.0),     # node 0 until 50
+            Job(1, 10.0, 2, 30.0),    # node 1 until 40
+            Job(2, 10.0, 4, 10.0),    # blocked: reservation at 40
+            Job(3, 10.0, 1, 5.0),     # ends at 15 <= 40: backfills
+            Job(4, 10.0, 2, 100.0),   # would end past 40: waits
+        ]
+        reference, indexed = _run_both(cluster, jobs, 500.0, depth)
+        _assert_same(reference, indexed)
+        starts = {p.job.job_id: p.start_time_s for p in indexed[0]}
+        assert starts[2] == 40.0
+        assert indexed[1].backfilled_jobs == (1 if depth else 0)
+        assert starts[3] == (10.0 if depth else 50.0)
+
+    def test_warmup_batch_at_zero_blocks(self):
+        """Warm-up jobs all clamp to submit 0.0: one batch wider than the
+        cluster (the stream is sized for four times its cores), blocking
+        part-way through."""
+        cluster = _cluster([8, 8, 4])
+        profile = WorkloadProfile(target_utilization=0.9,
+                                  mean_cores_per_job=4.0,
+                                  median_runtime_s=1800.0)
+        jobs = JobGenerator(profile, 4 * cluster.total_cores, seed=2,
+                            max_cores_per_job=4).generate(
+            4 * 3600.0, warmup_s=6 * 3600.0)
+        batch = [job for job in jobs if job.submit_time_s == 0.0]
+        assert sum(job.cores for job in batch) > cluster.total_cores
+        for depth in (0, 50):
+            reference, indexed = _run_both(cluster, jobs, 4 * 3600.0, depth)
+            _assert_same(reference, indexed)
+            assert any(p.start_time_s > 0.0 for p in indexed[0]
+                       if p.job.submit_time_s == 0.0)
+
+    def test_release_up_to_the_arrival(self):
+        """An idle-queue arrival sees every completion up to its submit time,
+        not only those up to the previous event."""
+        cluster = _cluster([2, 2])
+        jobs = [Job(0, 0.0, 2, 10.0), Job(1, 20.0, 2, 10.0)]
+        reference, indexed = _run_both(cluster, jobs, 100.0)
+        _assert_same(reference, indexed)
+        assert [p.node_index for p in indexed[0]] == [0, 0]
+
+    def test_same_time_release_before_take(self):
+        """A start absorbed by a large clock (end == start) frees its cores
+        for the next same-time arrival."""
+        cluster = _cluster([2, 2])
+        jobs = [Job(0, 1e6, 2, 1e-12), Job(1, 1e6, 2, 5.0)]
+        reference, indexed = _run_both(cluster, jobs, 2e6)
+        _assert_same(reference, indexed)
+        first, second = indexed[0]
+        assert first.end_time_s == first.start_time_s
+        assert second.node_index == 0
+
+
+def _count_queue_calls(monkeypatch):
+    """Count ``PendingJobQueue.append`` and ``.extend`` calls."""
+    counts = {"append": 0, "extend": 0}
+    for name in counts:
+        original = getattr(PendingJobQueue, name)
+
+        def counting(self, arg, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(PendingJobQueue, name, counting)
+    return counts
+
+
+class TestFreeFlowFastPath:
+    """Which path a stream takes: an idle queue never touches the queue."""
+
+    def test_full_scale_dur_never_queues(self, monkeypatch):
+        """DUR's full-scale snapshot, the cold path's longest schedule."""
+        counts = _count_queue_calls(monkeypatch)
+        config = build_iris_snapshot_config(node_scale=1.0, sites=("DUR",))
+        result = SnapshotExperiment(config).run()
+        stats = result.site_result("DUR").scheduler_stats
+        assert counts == {"append": 0, "extend": 0}
+        assert stats.jobs_started == stats.jobs_submitted > 40_000
+        assert stats.max_wait_s == 0.0
+
+    def test_contended_stream_queues(self, monkeypatch):
+        """The stream of ``test_generated_contended_stream_with_backfills``
+        blocks and queues, so the event loop stays exercised."""
+        cluster, jobs = _contended_workload()
+        counts = _count_queue_calls(monkeypatch)
+        _, stats = BackfillScheduler(cluster).run(jobs, 6 * 3600.0)
+        assert counts["append"] > 0 and counts["extend"] > 0
+        assert stats.backfilled_jobs > 0
 
 
 class TestAntiStall:

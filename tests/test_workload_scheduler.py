@@ -1,15 +1,47 @@
 """Tests for the FCFS + EASY-backfill scheduler."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.workload.cluster import SimulatedCluster
 from repro.workload.jobs import Job, JobGenerator, WorkloadProfile
-from repro.workload.scheduler import BackfillScheduler
+from repro.workload.scheduler import BackfillScheduler, Placement
 
 
 def _job(job_id, submit, cores, runtime, intensity=1.0):
     return Job(job_id=job_id, submit_time_s=submit, cores=cores,
                runtime_s=runtime, cpu_intensity=intensity)
+
+
+class TestRecords:
+    """``Job`` and ``Placement`` are frozen, slotted value records."""
+
+    JOB = Job(job_id=3, submit_time_s=1.5, cores=4, runtime_s=60.0,
+              cpu_intensity=0.8)
+    PLACEMENT = Placement(JOB, 2, 10.0, 70.0)
+
+    @pytest.mark.parametrize("record", [JOB, PLACEMENT],
+                             ids=["job", "placement"])
+    def test_round_trips(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record), dataclasses.replace(record)):
+            assert clone == record
+            assert hash(clone) == hash(record)
+        assert not hasattr(record, "__dict__")
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, 0)
+
+    def test_replace_keeps_validation(self):
+        assert dataclasses.replace(self.JOB, cores=8).core_seconds == 480.0
+        with pytest.raises(ValueError):
+            dataclasses.replace(self.JOB, cores=0)
+        moved = dataclasses.replace(self.PLACEMENT, start_time_s=11.5)
+        assert moved.wait_time_s == 10.0
+        assert moved.job is self.JOB
 
 
 class TestBasicScheduling:
