@@ -183,10 +183,6 @@ class BatchAssessmentRunner:
         :class:`SubstrateCache` persisting snapshots under this directory
         (so full-scale simulations are paid once per machine).  Mutually
         exclusive with ``substrates`` — pass a configured cache instead.
-    jobs:
-        Per-simulation site concurrency.  Giving ``jobs`` (with or without
-        ``substrate_cache_dir``) builds a private cache configured with it;
-        mutually exclusive with ``substrates`` for the same reason.
     catalog:
         Opt-in run cataloguing (a catalog, recorder, or path — see
         :class:`~repro.api.assessment.Assessment`), threaded through to
@@ -202,14 +198,12 @@ class BatchAssessmentRunner:
         substrates: Optional[SubstrateCache] = None,
         max_workers: int = 1,
         substrate_cache_dir=None,
-        jobs: Optional[int] = None,
         catalog=None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self._base_spec = base_spec or default_spec()
-        self._substrates = resolve_substrates(substrates, substrate_cache_dir,
-                                              jobs)
+        self._substrates = resolve_substrates(substrates, substrate_cache_dir)
         self._max_workers = max_workers
         self._recorder = _coerce_catalog(catalog)
 

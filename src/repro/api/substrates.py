@@ -16,9 +16,8 @@ different keys proceed independently.
 With ``persist_dir`` set, simulated snapshots are additionally written to
 disk (``.npz`` + JSON sidecar keyed by the spec's physical hash, see
 :mod:`repro.api.persistence`), so a full-scale simulation is paid once per
-machine rather than once per process; ``jobs`` controls how many sites each
-simulation runs concurrently.  Sites too big to simulate in memory (see
-:func:`repro.snapshot.experiment.out_of_core`) stream shards through a
+machine rather than once per process.  Sites too big to simulate in memory
+(see :func:`repro.snapshot.experiment.out_of_core`) stream shards through a
 temporary directory that is gone once the snapshot is built; only the
 ``.npz`` + JSON entry lands in ``persist_dir``.
 """
@@ -78,10 +77,6 @@ class SubstrateCache:
         the cache in-process only.  Entries are keyed by the spec's
         physical hash, written atomically, and unreadable/stale entries are
         recomputed rather than raised.
-    jobs:
-        How many sites each simulated snapshot runs concurrently
-        (:meth:`SnapshotExperiment.run`'s ``max_workers``); ``None`` picks
-        one thread per site capped at the CPU count.
     max_entries:
         Optional cap on retained cache entries.  A long-lived process
         sweeping many distinct physical configurations otherwise retains
@@ -92,18 +87,14 @@ class SubstrateCache:
         behaviour.
     """
 
-    def __init__(self, persist_dir: Optional[Union[str, Path]] = None,
-                 jobs: Optional[int] = 1,
+    def __init__(self, persist_dir: Optional[Union[str, Path]] = None, *,
                  max_entries: Optional[int] = None):
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be at least 1 (or None)")
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be at least 1 (or None)")
         self._lock = threading.Lock()
         self._slots: Dict[Tuple[str, Tuple[Any, ...]], _Slot] = {}
         self._persist_dir = (Path(persist_dir).expanduser()
                              if persist_dir is not None else None)
-        self._jobs = jobs
         self._max_entries = max_entries
         # Statistics, mainly so tests and benchmarks can assert reuse.
         self.snapshot_runs = 0
@@ -248,8 +239,7 @@ class SubstrateCache:
                     with self._lock:
                         self.snapshot_loads += 1
                     return cached
-            result = SnapshotExperiment(
-                config, catalog=self.catalog(), max_workers=self._jobs).run()
+            result = SnapshotExperiment(config, catalog=self.catalog()).run()
             with self._lock:
                 self.snapshot_runs += 1
             if digest is not None:
@@ -290,25 +280,23 @@ def shared_substrates() -> SubstrateCache:
 def resolve_substrates(
     substrates: Optional[SubstrateCache],
     substrate_cache_dir: Optional[Union[str, Path]],
-    jobs: Optional[int],
 ) -> SubstrateCache:
-    """Resolve a runner's ``(substrates, substrate_cache_dir, jobs)`` trio.
+    """Resolve a runner's ``(substrates, substrate_cache_dir)`` pair.
 
     The shared constructor convention of every runner: an explicit cache
-    wins (the convenience knobs are then rejected — configure the cache
-    directly instead), the knobs build a private cache, and with nothing
-    given the process-wide shared cache is used.
+    wins (a directory beside it is rejected — give the cache its
+    ``persist_dir`` instead), a directory alone builds a private
+    persistent cache, and with neither the process-wide shared cache is
+    used.
     """
     if substrates is not None:
-        if substrate_cache_dir is not None or jobs is not None:
+        if substrate_cache_dir is not None:
             raise ValueError(
-                "pass either substrates or substrate_cache_dir/jobs, not "
-                "both; use SubstrateCache(persist_dir=..., jobs=...) to "
-                "combine them")
+                "pass either substrates or substrate_cache_dir, not both; "
+                "use SubstrateCache(persist_dir=...) to combine them")
         return substrates
-    if substrate_cache_dir is not None or jobs is not None:
-        return SubstrateCache(persist_dir=substrate_cache_dir,
-                              jobs=jobs if jobs is not None else 1)
+    if substrate_cache_dir is not None:
+        return SubstrateCache(persist_dir=substrate_cache_dir)
     return shared_substrates()
 
 

@@ -147,9 +147,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--substrate-cache-dir", type=Path, default=None,
                         help="persist simulated snapshots here so full-scale "
                              "runs are paid once per machine")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="simulate this many sites concurrently "
-                             "(default: 1; 0 = one thread per site)")
     _add_catalog_arguments(parser)
 
 
@@ -316,9 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--substrate-cache-dir", type=Path, default=None,
                        help="persist simulated snapshots here so restarts "
                             "do not re-simulate")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="sites simulated concurrently inside one "
-                            "request (default: 1; 0 = one thread per site)")
     serve.add_argument("--plugin", action="append", default=None,
                        metavar="MODULE",
                        help="import this module at startup to register "
@@ -356,24 +350,13 @@ def _build_catalog_recorder(args: argparse.Namespace, *, serve: bool = True):
     return CatalogRecorder(catalog, tags=tuple(tags), serve=serve)
 
 
-def _site_jobs(jobs: Optional[int]) -> Optional[int]:
-    """``--jobs`` as a site worker count: 1 by default, ``0`` = one per site
-    (``None``); raises :class:`_UsageError` on a negative count."""
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise _UsageError("--jobs must be non-negative (0 = one thread per site)")
-    return jobs or None
-
-
 def _build_substrates(args: argparse.Namespace):
-    """A SubstrateCache from --substrate-cache-dir/--jobs, or None for shared."""
-    if args.substrate_cache_dir is None and args.jobs is None:
+    """A SubstrateCache from --substrate-cache-dir, or None for shared."""
+    if args.substrate_cache_dir is None:
         return None
     from repro.api import SubstrateCache
 
-    return SubstrateCache(persist_dir=args.substrate_cache_dir,
-                          jobs=_site_jobs(args.jobs))
+    return SubstrateCache(persist_dir=args.substrate_cache_dir)
 
 
 def _assessment_tables_text(result: AssessmentResult) -> str:
@@ -805,7 +788,6 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
                 ("--sensitivity", args.sensitivity),
                 ("--histogram", args.histogram),
                 ("--substrate-cache-dir", args.substrate_cache_dir is not None),
-                ("--jobs", args.jobs is not None),
                 ("--catalog", args.catalog is not None),
                 ("--tag", bool(args.tag)),
             ) if given
@@ -946,7 +928,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             substrate_cache_dir=args.substrate_cache_dir,
-            jobs=_site_jobs(args.jobs),
             catalog=args.catalog,
             tags=tuple(args.tag or ()),
             plugins=tuple(args.plugin or ()),

@@ -102,11 +102,10 @@ class PortfolioRunner:
     max_workers:
         Thread count for running members concurrently; ``None`` (default)
         uses one thread per member, capped at the CPU count.
-    substrate_cache_dir / jobs:
-        Convenience mirrors of :class:`~repro.api.batch.
+    substrate_cache_dir:
+        Convenience mirror of :class:`~repro.api.batch.
         BatchAssessmentRunner`: build a private cache persisting under
-        this directory and/or simulating ``jobs`` sites concurrently.
-        Mutually exclusive with ``substrates``.
+        this directory.  Mutually exclusive with ``substrates``.
     catalog:
         Opt-in run cataloguing (a catalog, recorder, or path — see
         :class:`~repro.api.assessment.Assessment`): :meth:`run` records
@@ -121,7 +120,6 @@ class PortfolioRunner:
         substrates: Optional[SubstrateCache] = None,
         max_workers: Optional[int] = None,
         substrate_cache_dir=None,
-        jobs: Optional[int] = None,
         catalog=None,
     ):
         if not isinstance(spec, PortfolioSpec):
@@ -130,8 +128,7 @@ class PortfolioRunner:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1 (or None)")
         self._spec = spec
-        self._substrates = resolve_substrates(substrates, substrate_cache_dir,
-                                              jobs)
+        self._substrates = resolve_substrates(substrates, substrate_cache_dir)
         self._max_workers = max_workers
         self._recorder = _coerce_catalog(catalog)
 

@@ -39,7 +39,6 @@ from repro.power.instruments import (
     TurbostatMeter,
 )
 from repro.power.campaign import MeasurementCampaign, SiteEnergyReport
-from repro.power.calibration import utilization_for_target_power
 from repro.power.reconciliation import (
     MethodComparison,
     best_estimate_kwh,
@@ -61,7 +60,6 @@ __all__ = [
     "FacilityMeter",
     "MeasurementCampaign",
     "SiteEnergyReport",
-    "utilization_for_target_power",
     "MethodComparison",
     "compare_methods",
     "best_estimate_kwh",

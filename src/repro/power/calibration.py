@@ -5,10 +5,10 @@ load level makes its average per-node wall power match the per-node power
 implied by the paper's Table 2 (energy / nodes / 24 h).  Because the node
 power model is strictly monotonic in utilisation, that inverse is a simple
 bisection.  :func:`fleet_utilization_for_target_power` inverts a mixed
-fleet's mean power curve and is what the snapshot orchestration calls;
-:func:`utilization_for_target_power` inverts one model.  Keeping them here
-makes the assumption (power observed => load inferred) a single, testable
-piece of code.
+fleet's mean power curve (a one-model fleet is the single-node case) and
+is what the snapshot orchestration calls.  Keeping it here makes the
+assumption (power observed => load inferred) a single, testable piece of
+code.
 """
 
 from __future__ import annotations
@@ -79,55 +79,4 @@ def fleet_utilization_for_target_power(
     return 0.5 * (low + high)
 
 
-def utilization_for_target_power(
-    model: NodePowerModel,
-    target_wall_power_w: float,
-    tolerance_w: float = 0.01,
-    max_iterations: int = 100,
-) -> float:
-    """The utilisation at which ``model`` draws ``target_wall_power_w``.
-
-    Returns 0.0 when the target is at or below idle power and 1.0 when it is
-    at or above the maximum — the caller is expected to check
-    :attr:`~repro.power.node_power.NodePowerModel.idle_wall_power_w` /
-    :attr:`~repro.power.node_power.NodePowerModel.max_wall_power_w` if it
-    needs to know whether clamping occurred.
-    """
-    if target_wall_power_w < 0:
-        raise ValueError("target_wall_power_w must be non-negative")
-    if tolerance_w <= 0:
-        raise ValueError("tolerance_w must be positive")
-    idle = model.idle_wall_power_w
-    maximum = model.max_wall_power_w
-    if target_wall_power_w <= idle:
-        return 0.0
-    if target_wall_power_w >= maximum:
-        return 1.0
-    low, high = 0.0, 1.0
-    for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        power = float(model.wall_power_w(mid))
-        if abs(power - target_wall_power_w) <= tolerance_w:
-            return mid
-        if power < target_wall_power_w:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
-
-
-def clamped_target_power(model: NodePowerModel, target_wall_power_w: float) -> float:
-    """The power the model can actually reproduce for a requested target.
-
-    Targets below idle clamp to idle and above maximum clamp to maximum;
-    used by the snapshot report to quantify how much of any per-site energy
-    discrepancy is attributable to clamping rather than measurement effects.
-    """
-    if target_wall_power_w < 0:
-        raise ValueError("target_wall_power_w must be non-negative")
-    return float(min(max(target_wall_power_w, model.idle_wall_power_w),
-                     model.max_wall_power_w))
-
-
-__all__ = ["FLEET_BISECTION_STEPS", "fleet_utilization_for_target_power",
-           "utilization_for_target_power", "clamped_target_power"]
+__all__ = ["FLEET_BISECTION_STEPS", "fleet_utilization_for_target_power"]

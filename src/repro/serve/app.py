@@ -30,7 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.api.substrates import (
     DEFAULT_SHARED_MAX_ENTRIES,
@@ -97,8 +97,7 @@ class ServeConfig:
         Bind address; port 0 picks an ephemeral port (tests).
     workers:
         Worker-thread count — how many requests *execute* concurrently.
-        Independent of ``jobs``: ``workers`` controls cross-request
-        concurrency, ``jobs`` the site concurrency inside one simulation.
+        Each request's simulation runs its sites one after another.
     queue_limit:
         How many admitted requests may wait beyond the executing
         ``workers`` before new arrivals get 429.
@@ -111,8 +110,6 @@ class ServeConfig:
         ``max_entries`` bound of the server-owned substrate cache.
     substrate_cache_dir:
         Optional on-disk snapshot cache shared across restarts.
-    jobs:
-        Sites simulated concurrently inside one snapshot run.
     catalog:
         Optional run-catalog path: enables read-through serving and
         records every live run.
@@ -132,7 +129,6 @@ class ServeConfig:
     retry_after_s: float = 1.0
     max_substrates: Optional[int] = DEFAULT_SHARED_MAX_ENTRIES
     substrate_cache_dir: Optional[Union[str, Path]] = None
-    jobs: Optional[int] = 1
     catalog: Optional[Union[str, Path]] = None
     tags: Tuple[str, ...] = ()
     plugins: Tuple[str, ...] = field(default_factory=tuple)
@@ -172,7 +168,6 @@ class ServeApp:
         self._config = config if config is not None else ServeConfig()
         self._substrates = substrates if substrates is not None else (
             SubstrateCache(persist_dir=self._config.substrate_cache_dir,
-                           jobs=self._config.jobs,
                            max_entries=self._config.max_substrates))
         if catalog is None:
             catalog = self._config.catalog

@@ -246,7 +246,6 @@ class BackfillScheduler:
         depth = self._backfill_depth
 
         while True:
-            progressed = False
             if not queue:
                 # Free flow (see the docstring): start each arrival on
                 # submit, and fall into the event loop on the first one
@@ -257,7 +256,6 @@ class BackfillScheduler:
                     submit_index += 1
                     if submit > now:
                         now = submit
-                        progressed = False
                     while running and running[0][0] <= now:
                         _, node_index, cores = heappop(running)
                         give(node_index, cores)
@@ -265,8 +263,7 @@ class BackfillScheduler:
                     node_index = take(cores)
                     if node_index < 0:
                         # As the event loop's iteration at ``now`` would
-                        # hold it: at the queue head, ``progressed`` set by
-                        # the same-time starts before it.  The version bump
+                        # hold it: at the queue head.  The version bump
                         # retires any cached reservation.
                         queue.append(job)
                         version += 1
@@ -275,7 +272,6 @@ class BackfillScheduler:
                     heappush(running, (end_time, node_index, cores))
                     placements_append(Placement(job, node_index, now, end_time))
                     waits_append(now - submit)
-                    progressed = True
                 else:
                     break
             # Admit all jobs submitted up to the current time, guarded by a
@@ -302,7 +298,6 @@ class BackfillScheduler:
                 placements_append(Placement(job, node_index, now, end_time))
                 waits_append(now - job.submit_time_s)
                 queue_pop_head()
-                progressed = True
             # EASY backfill when the head is blocked.
             if queue:
                 head = queue_head()
@@ -326,11 +321,14 @@ class BackfillScheduler:
                         waits_append(now - candidate.submit_time_s)
                         queue.discard(candidate)
                         backfilled += 1
-                        progressed = True
             if queue:
                 # Advance time to the next event: a completion or a
                 # submission.  With the queue empty the free-flow phase
-                # advances instead, straight to the next arrival.
+                # advances instead, straight to the next arrival.  An
+                # iteration that started nothing has released every job
+                # ending by ``now`` and admitted every submission up to it,
+                # so the next event is later and the seed loop's anti-stall
+                # clamp has nothing to do here.
                 next_completion = running[0][0] if running else INFINITY
                 next_submission = (submit_list[submit_index]
                                    if submit_index < count else INFINITY)
@@ -339,10 +337,6 @@ class BackfillScheduler:
                               else next_submission)
                 if next_event == INFINITY:
                     break  # pragma: no cover - defensive; cannot happen with valid input
-                if not progressed and next_event <= now:
-                    # Avoid an infinite loop if no event advances time, but
-                    # never jump past a pending submission.
-                    next_event = min(now + 1.0, next_submission)
                 while running and running[0][0] <= next_event:
                     end_time, node_index, cores = heappop(running)
                     give(node_index, cores)

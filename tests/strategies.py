@@ -167,7 +167,7 @@ def job_streams(draw, max_jobs: int = 30, max_cores: int = 10,
                 horizon_s: float = 500.0):
     """Adversarial job lists for the scheduler engines.
 
-    Fractional submit times (exercising the anti-stall clamp), duplicate
+    Fractional submit times (no start may precede its submission), duplicate
     submit instants, runtimes from sub-second to the full horizon, and
     widths that may exceed every node (exercising the unschedulable
     filter).

@@ -7,7 +7,11 @@ import pytest
 
 from oracles import use_reference_scheduler
 
+from repro.api import BatchAssessmentRunner, SubstrateCache
 from repro.cli import main
+from repro.portfolio import PortfolioRunner, PortfolioSpec
+from repro.serve import ServeConfig
+from repro.snapshot.experiment import SnapshotExperiment
 
 
 class TestInventory:
@@ -246,22 +250,42 @@ class TestSubstrateCacheFlags:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_jobs_flag_accepts_auto_and_explicit(self, capsys):
-        assert main(["assess", "--scale", "0.02", "--format", "csv",
-                     "--jobs", "0"]) == 0
-        capsys.readouterr()
-        assert main(["assess", "--scale", "0.02", "--format", "csv",
-                     "--jobs", "2"]) == 0
-
-    def test_negative_jobs_rejected(self, capsys):
-        assert main(["assess", "--scale", "0.02", "--jobs", "-1"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_temporal_accepts_cache_dir(self, capsys, tmp_path):
         cache_dir = tmp_path / "substrates"
         assert main(["temporal", "--scale", "0.02", "--format", "csv",
                      "--substrate-cache-dir", str(cache_dir)]) == 0
         assert list(cache_dir.glob("*.npz"))
+
+
+class TestSitesRunInOrder:
+    """Sites always run one after another: the site thread count is gone
+    from the CLI (a usage error) and from the library (a ``TypeError``)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--scale", "0.02"],
+        ["temporal", "--scale", "0.02"],
+        ["uncertainty", "--scale", "0.02"],
+        ["portfolio", "--spec", "folio.json"],
+        ["serve", "--port", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", [
+        lambda: SubstrateCache(jobs=1),
+        lambda: ServeConfig(jobs=1),
+        lambda: SnapshotExperiment(max_workers=2),
+        lambda: SnapshotExperiment().run(max_workers=2),
+        lambda: BatchAssessmentRunner(jobs=2),
+        lambda: PortfolioRunner(PortfolioSpec.from_regions(["GB"]), jobs=2),
+    ], ids=["substrate-cache", "serve-config", "snapshot-experiment",
+            "snapshot-run", "batch-runner", "portfolio-runner"])
+    def test_keyword_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
 
 
 class TestSchedulerEngineFlags:
@@ -272,12 +296,14 @@ class TestSchedulerEngineFlags:
         seed loop (``oracles.scheduler``) swapped in: same spec, same
         summary and Table 2 digests.
 
-        ``--jobs 1`` gives each run a private substrate cache, so the
-        second run simulates afresh instead of reusing the first.
+        Each run gets a fresh ``--substrate-cache-dir``, so a private
+        substrate cache, and the second run simulates afresh instead of
+        reusing the first.
         """
         def assess(name):
             out = tmp_path / name
-            assert main(["assess", "--scale", "0.02", "--jobs", "1",
+            assert main(["assess", "--scale", "0.02",
+                         "--substrate-cache-dir", str(tmp_path / f"{name}.d"),
                          "--format", "json", "--output", str(out)]) == 0
             return json.loads(out.read_text())
 

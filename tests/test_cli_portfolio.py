@@ -158,8 +158,3 @@ class TestPortfolioErrorPaths:
                   "--rank-placement", "--load-kwh", "0"])
         assert err.value.code == 2
         assert "must be positive" in capsys.readouterr().err
-
-    def test_negative_jobs_rejected(self, capsys, spec_path):
-        assert main(["portfolio", "--spec", str(spec_path),
-                     "--jobs", "-1"]) == 2
-        assert "--jobs" in capsys.readouterr().err

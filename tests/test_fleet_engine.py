@@ -322,27 +322,6 @@ class TestEngineSelection:
             columnar.facility_power_series().values,
             oracle.facility_power_series().values, rtol=1e-9)
 
-    def test_parallel_sites_match_serial(self):
-        config = build_iris_snapshot_config(node_scale=0.02)
-        serial = SnapshotExperiment(config).run()
-        threaded = SnapshotExperiment(config, max_workers=4).run()
-        assert [r.site for r in serial.site_results] == \
-               [r.site for r in threaded.site_results]
-        for a, b in zip(serial.site_results, threaded.site_results):
-            assert a.energy_report.energy_by_method() == \
-                   b.energy_report.energy_by_method()
-            assert a.mean_utilization == b.mean_utilization
-
-    def test_run_worker_override_and_validation(self):
-        config = build_iris_snapshot_config(node_scale=0.02)
-        experiment = SnapshotExperiment(config)
-        result = experiment.run(max_workers=2)
-        assert len(result.site_results) == len(config.sites)
-        with pytest.raises(ValueError, match="max_workers"):
-            experiment.run(max_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            SnapshotExperiment(config, max_workers=0)
-
 
 class TestPersistentSubstrateCache:
     SPEC = dict(node_scale=0.02, campaign_seed=11)
@@ -431,10 +410,6 @@ class TestPersistentSubstrateCache:
         assert result.total_kg > 0
         assert cache.snapshot_runs == 1
 
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SubstrateCache(jobs=0)
-
     def test_batch_runner_cache_dir(self, tmp_path):
         spec = default_spec(node_scale=0.02)
         runner = BatchAssessmentRunner(spec, substrate_cache_dir=tmp_path)
@@ -454,15 +429,3 @@ class TestPersistentSubstrateCache:
         with pytest.raises(ValueError, match="not both"):
             BatchAssessmentRunner(substrates=SubstrateCache(),
                                   substrate_cache_dir=tmp_path)
-        with pytest.raises(ValueError, match="not both"):
-            BatchAssessmentRunner(substrates=SubstrateCache(), jobs=2)
-
-    def test_batch_runner_jobs_alone_builds_private_cache(self):
-        """jobs without a cache dir must not be silently dropped."""
-        from repro.api.substrates import shared_substrates
-
-        runner = BatchAssessmentRunner(default_spec(node_scale=0.02), jobs=2)
-        assert runner.substrates is not shared_substrates()
-        assert runner.substrates.persist_dir is None
-        batch = runner.sweep(intensity=[100.0, 200.0])
-        assert len(batch) == 2 and runner.substrates.snapshot_runs == 1

@@ -218,7 +218,8 @@ class TestPortfolioRunner:
         with pytest.raises(ValueError, match="max_workers"):
             PortfolioRunner(spec, max_workers=0)
         with pytest.raises(ValueError, match="not both"):
-            PortfolioRunner(spec, substrates=SubstrateCache(), jobs=2)
+            PortfolioRunner(spec, substrates=SubstrateCache(),
+                            substrate_cache_dir="substrates")
 
     def test_result_serialisation(self, three_region_result, tmp_path):
         result = three_region_result

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.inventory.iris import PAPER_TABLE2_ENERGY_KWH, PAPER_TABLE2_TOTAL_KWH
-from repro.power.calibration import clamped_target_power, utilization_for_target_power
+from repro.power.calibration import fleet_utilization_for_target_power
 from repro.power.campaign import MeasurementCampaign
 from repro.power.instruments import FacilityMeter, IPMIMeter, PDUMeter, TurbostatMeter
 from repro.power.node_power import NodePowerModel
@@ -36,26 +36,24 @@ def campaign():
 
 
 class TestCalibration:
+    """A one-model fleet is the single-node calibration."""
+
     def test_round_trip(self, compute_power_model):
         target = 400.0
-        util = utilization_for_target_power(compute_power_model, target)
+        util = fleet_utilization_for_target_power([compute_power_model], target)
         assert float(compute_power_model.wall_power_w(util)) == pytest.approx(target, abs=0.05)
 
     def test_clamping(self, compute_power_model):
-        assert utilization_for_target_power(compute_power_model, 10.0) == 0.0
-        assert utilization_for_target_power(compute_power_model, 10_000.0) == 1.0
-        assert clamped_target_power(compute_power_model, 10.0) == pytest.approx(
+        low = fleet_utilization_for_target_power([compute_power_model], 10.0)
+        high = fleet_utilization_for_target_power([compute_power_model], 10_000.0)
+        assert low == 0.0
+        assert high == 1.0
+        assert float(compute_power_model.wall_power_w(low)) == pytest.approx(
             compute_power_model.idle_wall_power_w
         )
-        assert clamped_target_power(compute_power_model, 10_000.0) == pytest.approx(
+        assert float(compute_power_model.wall_power_w(high)) == pytest.approx(
             compute_power_model.max_wall_power_w
         )
-
-    def test_validation(self, compute_power_model):
-        with pytest.raises(ValueError):
-            utilization_for_target_power(compute_power_model, -1.0)
-        with pytest.raises(ValueError):
-            utilization_for_target_power(compute_power_model, 100.0, tolerance_w=0.0)
 
 
 class TestMeasurementCampaign:

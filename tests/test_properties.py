@@ -15,7 +15,7 @@ from strategies import positive_floats, small_positive, utilization
 
 from repro.core.embodied import EmbodiedAsset, EmbodiedCarbonCalculator, LinearAmortization
 from repro.core.active import ActiveCarbonCalculator, ActiveEnergyInput
-from repro.power.calibration import utilization_for_target_power
+from repro.power.calibration import fleet_utilization_for_target_power
 from repro.power.facility import FacilityOverheadModel
 from repro.timeseries.integrate import energy_kwh_from_power_w
 from repro.timeseries.resample import resample_mean, resample_sum, upsample_repeat
@@ -112,7 +112,7 @@ class TestPowerModelProperties:
     @given(target=st.floats(min_value=0.0, max_value=1500.0, allow_nan=False))
     @settings(max_examples=50)
     def test_calibration_inverts_power_model(self, compute_power_model, target):
-        util = utilization_for_target_power(compute_power_model, target)
+        util = fleet_utilization_for_target_power([compute_power_model], target)
         assert 0.0 <= util <= 1.0
         achieved = float(compute_power_model.wall_power_w(util))
         clamped = min(max(target, compute_power_model.idle_wall_power_w),

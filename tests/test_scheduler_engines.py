@@ -256,11 +256,13 @@ class TestFreeFlowFastPath:
 
 
 class TestAntiStall:
-    """Submissions at fractional times must never be jumped over.
+    """Fractional submit times start on time, and no start precedes its
+    submission.
 
-    Regression guard: the idle-advance clamp is ``min(now + 1.0,
-    next_submission)`` — a bare ``now + 1.0`` can leap past a submission
-    landing inside ``(now, now + 1)`` and start the job late.
+    Time advances event by event, so a job submitted inside ``(now, now +
+    1)`` on an idle cluster starts at its own submit instant, not at a
+    rounded or stepped one.  (The seed loop's anti-stall clamp this class
+    is named for never fires on these streams.)
     """
 
     def test_fractional_submit_starts_exactly_on_time(self):

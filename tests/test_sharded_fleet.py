@@ -284,19 +284,6 @@ class TestShardedEngine:
         assert_matches_dense(dense_result,
                              SnapshotExperiment(tiny_config).run())
 
-    def test_process_pool_run_identical_to_serial(self, tiny_config,
-                                                  all_out_of_core):
-        serial = SnapshotExperiment(tiny_config).run()
-        pooled = SnapshotExperiment(tiny_config).run(max_workers=3)
-        assert [r.site for r in pooled.site_results] == \
-            [r.site for r in serial.site_results]
-        np.testing.assert_array_equal(
-            pooled.facility_power_series().values,
-            serial.facility_power_series().values)
-        for a, b in zip(serial.site_results, pooled.site_results):
-            assert a.best_estimate_kwh == b.best_estimate_kwh
-            assert a.mean_utilization == b.mean_utilization
-
     def test_shard_stores_are_removed(self, tiny_config, all_out_of_core,
                                       scratch, built_stores):
         SnapshotExperiment(tiny_config).run()
@@ -400,22 +387,21 @@ class TestCliWiring:
         snapshot's ``.npz`` + ``.json`` entry."""
         from repro.cli import main
 
-        def assess(name, *extra):
+        def assess(name, cache_dir):
             out = tmp_path / name
-            assert main(["assess", "--scale", "0.02", "--jobs", "1",
-                         "--format", "json", "--output", str(out),
-                         *extra]) == 0
+            assert main(["assess", "--scale", "0.02",
+                         "--substrate-cache-dir", str(cache_dir),
+                         "--format", "json", "--output", str(out)]) == 0
             return json.loads(out.read_text())
 
         def digest(doc):
             return hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
-        dense = assess("dense.json")
+        dense = assess("dense.json", tmp_path / "dense-substrates")
         limit_nodes(1)
         cache_dir = tmp_path / "substrates"
-        sharded = assess("sharded.json", "--substrate-cache-dir",
-                         str(cache_dir))
+        sharded = assess("sharded.json", cache_dir)
         assert dense["spec"] == sharded["spec"]
         assert digest(dense["summary"]) == digest(sharded["summary"])
         assert sorted(p.suffix for p in cache_dir.iterdir()) == \
