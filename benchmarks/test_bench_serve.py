@@ -41,13 +41,12 @@ def _doc(**overrides):
     return doc
 
 
-def test_bench_serve_coalescing(tmp_path):
-    # Reference cost: one cold-cache simulation through the library path.
-    start = time.perf_counter()
-    reference = Assessment.from_spec(
-        default_spec(node_scale=SCALE), substrates=SubstrateCache()).run()
-    cold_s = time.perf_counter() - start
+#: Alternating rounds; each side's best round is compared.
+TIMING_REPEATS = 3
 
+
+def _coalesced_burst():
+    """16 concurrent requests against a fresh server; (seconds, outcomes, runs)."""
     app = ServeApp(ServeConfig(workers=CONCURRENT_REQUESTS,
                                queue_limit=CONCURRENT_REQUESTS))
     try:
@@ -60,16 +59,32 @@ def test_bench_serve_coalescing(tmp_path):
 
         start = time.perf_counter()
         outcomes = asyncio.run(burst())
-        concurrent_s = time.perf_counter() - start
+        return time.perf_counter() - start, outcomes, app.substrates.snapshot_runs
+    finally:
+        app.close()
+
+
+def test_bench_serve_coalescing(tmp_path):
+    # Best of alternating rounds, each from a fresh cache and a fresh
+    # server: a burst of load from other processes then slows both sides,
+    # not just the one reading it landed on.
+    cold_s = concurrent_s = float("inf")
+    for _ in range(TIMING_REPEATS):
+        # Reference cost: one cold-cache simulation through the library path.
+        start = time.perf_counter()
+        reference = Assessment.from_spec(
+            default_spec(node_scale=SCALE), substrates=SubstrateCache()).run()
+        cold_s = min(cold_s, time.perf_counter() - start)
+
+        elapsed, outcomes, snapshot_runs = _coalesced_burst()
+        concurrent_s = min(concurrent_s, elapsed)
 
         # Primary, structural: one simulation fed all 16 answers, and
         # every scenario still got its own distinct, correct payload.
-        assert app.substrates.snapshot_runs == 1
+        assert snapshot_runs == 1
         totals = [payload["summary"]["total_kg"] for payload, _ in outcomes]
         assert len(set(totals)) == CONCURRENT_REQUESTS
         assert all(source == "live" for _, source in outcomes)
-    finally:
-        app.close()
 
     sequential_estimate_s = CONCURRENT_REQUESTS * cold_s
     speedup = (sequential_estimate_s / concurrent_s
@@ -89,7 +104,7 @@ def test_bench_serve_coalescing(tmp_path):
     })
     print(f"\nserve coalescing: {CONCURRENT_REQUESTS} requests in "
           f"{concurrent_s:.3f}s (1 simulation; est. sequential "
-          f"{sequential_estimate_s:.2f}s; {speedup:.0f}x), "
+          f"{sequential_estimate_s:.2f}s; {speedup:.1f}x), "
           f"reference total {reference.total_kg:,.1f} kg")
 
 

@@ -9,14 +9,16 @@ The acceptance bar for the compiled batch engine is twofold:
   one simulation) the columnar engine must reproduce the reference
   loop's results exactly: identical ordering, serialised summary rows
   byte-identical, totals within 1e-12 (they are in fact bit-equal — the
-  kernel replays the reference float operations in operand order).
+  kernel replays the active term's float operations in operand order and
+  calls the reference's own embodied calculator).
 * **Speed on the warm substrate.**  Both engines share one pre-simulated
   substrate, so the timing isolates the analysis stage the compiler
   vectorises: the reference loop pays ~1,000 Python ``Assessment``
-  evaluations (per-point component resolution, per-asset embodied
-  accumulation), the columnar engine one planning pass plus one
-  vectorised kernel pass.  The bar is **10x**; measured ~40x on a
-  single-core container, widening with grid size.
+  evaluations (per-point component resolution, embodied columns and
+  calculator, active term), the columnar engine one planning pass plus
+  one kernel pass that evaluates each distinct active and embodied
+  scenario once.  The engines are timed in alternating rounds.  The bar
+  is **10x**; measured 12-19x on a 2-core host.
 
 A second measurement sweeps a mixed grid (a fallback axis alongside
 columnar ones) to record the planner's partitioned cost profile, and the
@@ -34,7 +36,7 @@ from oracles import batch as oracle
 from repro.api import BatchAssessmentRunner, SubstrateCache, default_spec
 from repro.io.jsonio import write_json
 
-#: The acceptance bar on a warm substrate (measured ~40x single-core).
+#: The acceptance bar on a warm substrate (measured 12-19x, 2-core host).
 MIN_SPEEDUP = 10.0
 
 #: Cross-engine agreement tolerance demanded by the acceptance criteria;
@@ -44,7 +46,7 @@ TOLERANCE = 1e-12
 #: One physical configuration: the whole grid costs one simulation.
 NODE_SCALE = 0.1
 
-TIMING_REPEATS = 2
+TIMING_REPEATS = 3
 
 
 def _analysis_grid() -> dict:
@@ -57,13 +59,21 @@ def _analysis_grid() -> dict:
     )
 
 
-def _best_time(fn, repeats: int = TIMING_REPEATS):
-    best, result = float("inf"), None
+def _best_times(reference, columnar, repeats: int = TIMING_REPEATS):
+    """Best wall time of each engine, timed in alternating rounds.
+
+    Each round runs both engines once, so a burst of load from other
+    processes slows both instead of whichever block it landed in.
+    Returns ``(reference_s, reference_result, columnar_s, columnar_result)``.
+    """
+    best = [float("inf"), float("inf")]
+    results = [None, None]
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for index, fn in enumerate((reference, columnar)):
+            start = time.perf_counter()
+            results[index] = fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best[0], results[0], best[1], results[1]
 
 
 def _canonical_rows(batch):
@@ -83,9 +93,9 @@ def test_bench_sweep_columnar_speedup(tmp_path):
     assert len(specs) == 1000
     assert len({spec.physical_key() for spec in specs}) == 1
 
-    reference_s, reference_batch = _best_time(
-        lambda: oracle.sweep(columnar, **axes))
-    columnar_s, columnar_batch = _best_time(lambda: columnar.sweep(**axes))
+    reference_s, reference_batch, columnar_s, columnar_batch = _best_times(
+        lambda: oracle.sweep(columnar, **axes),
+        lambda: columnar.sweep(**axes))
     speedup = reference_s / columnar_s if columnar_s > 0 else float("inf")
 
     # The whole grid still cost exactly the one warm-up simulation.
@@ -101,10 +111,9 @@ def test_bench_sweep_columnar_speedup(tmp_path):
         pue=[1.1, 1.3],
         amortization=["linear", "utilization-weighted"],
     )
-    mixed_columnar_s, mixed_col = _best_time(
+    mixed_reference_s, mixed_ref, mixed_columnar_s, mixed_col = _best_times(
+        lambda: oracle.sweep(columnar, **mixed_axes),
         lambda: columnar.sweep(**mixed_axes))
-    mixed_reference_s, mixed_ref = _best_time(
-        lambda: oracle.sweep(columnar, **mixed_axes))
     assert _canonical_rows(mixed_col) == _canonical_rows(mixed_ref)
 
     write_json(tmp_path / "bench_sweep.json", {

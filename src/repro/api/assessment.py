@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.core.embodied import EmbodiedAsset
+from repro.core.embodied import EmbodiedAsset, EmbodiedColumns
 from repro.core.model import CarbonModel, SnapshotInputs
 from repro.units.quantities import CarbonIntensity
 
@@ -215,7 +215,7 @@ class Assessment:
         policy_factory = resolve_spec_components(spec)
         intensity = self.resolved_intensity_g_per_kwh()
         snapshot = self._substrates.snapshot(spec)
-        assets = self._assets(snapshot, spec)
+        columns = self._columns(snapshot, spec)
         policy = policy_factory()
         model = CarbonModel(
             carbon_intensity=CarbonIntensity(intensity),
@@ -223,44 +223,52 @@ class Assessment:
             amortization=policy,
         )
         total = model.evaluate(
-            SnapshotInputs(energy=snapshot.active_energy_input(), assets=assets)
+            SnapshotInputs(energy=snapshot.active_energy_input(), assets=columns)
         )
         return AssessmentResult(
-            spec=spec.replace(carbon_intensity_g_per_kwh=intensity),
+            spec=with_resolved_intensity(spec, intensity),
             snapshot=snapshot,
             total=total,
         )
 
     # -- embodied asset assembly ------------------------------------------------------
 
-    def embodied_assets(self) -> List[EmbodiedAsset]:
-        """The resolved embodied-asset list for this spec.
+    def embodied_columns(self) -> EmbodiedColumns:
+        """The resolved embodied assets for this spec, as columns.
 
         Resolves the spec's estimator / uniform override against the
         (cached) snapshot exactly as :meth:`run` does — the public seam the
         uncertainty engine contracts its embodied columns against.
         """
-        return self._assets(self._substrates.snapshot(self._spec), self._spec)
+        return self._columns(self._substrates.snapshot(self._spec), self._spec)
 
-    def _assets(self, snapshot, spec: AssessmentSpec) -> List[EmbodiedAsset]:
+    def embodied_assets(self) -> List[EmbodiedAsset]:
+        """:meth:`embodied_columns` as a list of assets."""
+        return self.embodied_columns().assets()
+
+    def _columns(self, snapshot, spec: AssessmentSpec) -> EmbodiedColumns:
         if spec.per_server_kgco2 is not None or spec.embodied_estimator == CATALOG_ESTIMATOR:
             # The engine's native path (catalog datasheet figures, or the
             # uniform Table 4 override) — bit-identical to the historical
             # SnapshotExperiment pipeline.
-            return snapshot.embodied_assets(spec.per_server_kgco2, spec.lifetime_years)
+            return snapshot.embodied_columns(spec.per_server_kgco2, spec.lifetime_years)
         estimator = EMBODIED_ESTIMATORS.create(spec.embodied_estimator)
         catalog = self._substrates.catalog()
-        per_model: dict = {}
-
-        def node_kgco2(model_name: str) -> float:
-            kg = per_model.get(model_name)
-            if kg is None:
-                kg = float(estimator.node_total_kgco2(catalog.node(model_name)))
-                per_model[model_name] = kg
-            return kg
-
-        return snapshot.embodied_assets(
-            lifetime_years=spec.lifetime_years, node_kgco2_resolver=node_kgco2)
+        return snapshot.embodied_columns(
+            lifetime_years=spec.lifetime_years,
+            node_kgco2_resolver=lambda model_name: float(
+                estimator.node_total_kgco2(catalog.node(model_name))))
 
 
-__all__ = ["Assessment", "resolve_spec_components"]
+def with_resolved_intensity(spec: AssessmentSpec, intensity: float) -> AssessmentSpec:
+    """``spec`` with its carbon intensity pinned to the resolved value.
+
+    A spec that already pins it is returned as it is: the resolved value is
+    that field, so a copy would only repeat the validation.
+    """
+    if spec.carbon_intensity_g_per_kwh is not None:
+        return spec
+    return spec.replace(carbon_intensity_g_per_kwh=intensity)
+
+
+__all__ = ["Assessment", "resolve_spec_components", "with_resolved_intensity"]

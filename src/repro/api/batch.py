@@ -38,10 +38,9 @@ sweep benchmark pin the compiled engine against.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.io.csvio import write_rows_csv
 from repro.io.jsonio import PathLike, write_json
@@ -243,15 +242,20 @@ class BatchAssessmentRunner:
         for name, values in zip(names, value_lists):
             if not values:
                 raise ValueError(f"sweep axis {name!r} has no values")
-        specs: List[AssessmentSpec] = []
-        for combo in itertools.product(*value_lists):
-            changes = {SWEEP_AXES[name]: value for name, value in zip(names, combo)}
-            if "grid" in axes:
+        # The product is built axis by axis, the last varying fastest: each
+        # point is its parent with one more field replaced, so replace
+        # checks only that field.
+        specs: List[AssessmentSpec] = [self._base_spec]
+        for name, values in zip(names, value_lists):
+            changes: Dict[str, Any] = {}
+            if name == "grid":
                 # Sweeping providers must actually exercise them: clear the
                 # fixed intensity so each scenario resolves its own grid
                 # (mirrors Assessment.with_grid and the CLI --grid flag).
                 changes["carbon_intensity_g_per_kwh"] = None
-            specs.append(self._base_spec.replace(**changes))
+            field = SWEEP_AXES[name]
+            specs = [spec.replace(**changes, **{field: value})
+                     for spec in specs for value in values]
         return specs
 
     # -- running ---------------------------------------------------------------------
@@ -332,10 +336,8 @@ class BatchAssessmentRunner:
         positions: Dict[AssessmentSpec, int] = {}
         order: List[int] = []
         for spec in specs:
-            index = positions.get(spec)
-            if index is None:
-                index = len(distinct)
-                positions[spec] = index
+            index = positions.setdefault(spec, len(distinct))
+            if index == len(distinct):
                 distinct.append(spec)
             order.append(index)
         return distinct, order

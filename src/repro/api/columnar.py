@@ -1,7 +1,9 @@
 """The shared columnar analysis kernel: one substrate, many scenarios.
 
 Two execution engines push batches of scenarios through the cheap analysis
-stage of the pipeline without paying one Python ``Assessment`` per point:
+stage of the pipeline without paying one Python ``Assessment`` per point.
+Both read the embodied term (equation 4) from the snapshot's
+:class:`~repro.core.embodied.EmbodiedColumns`, never from a per-asset list:
 
 * the **ensemble kernel** (:func:`evaluate_ensemble_columns`) contracts a
   cached snapshot against sampled scenario columns for the uncertainty
@@ -12,12 +14,13 @@ stage of the pipeline without paying one Python ``Assessment`` per point:
 * the **sweep kernel** (:func:`evaluate_assessment_group` /
   :func:`evaluate_temporal_group`) evaluates a whole physical group of a
   parameter grid in one vectorised pass and materialises genuine
-  per-scenario result objects.  Unlike the ensemble kernel it replays the
-  reference pipeline's float operations *exactly* — same operand order,
-  same per-asset accumulation — so every produced
-  :class:`~repro.api.result.AssessmentResult` is bit-identical to what
-  ``Assessment.run_live`` returns for the same spec, and serialised
-  payloads (catalog keys, goldens) are byte-identical.
+  per-scenario result objects.  Its active term replays the reference
+  pipeline's float operations *exactly* (same operand order); its
+  embodied term is the very calculator ``Assessment.run_live`` calls,
+  once per distinct (``per_server_kgco2``, ``lifetime_years``) pair.  So
+  every produced :class:`~repro.api.result.AssessmentResult` is
+  bit-identical to what ``Assessment.run_live`` returns for the same spec,
+  and serialised payloads (catalog keys, goldens) are byte-identical.
 
 :func:`compile_sweep` is the planner in front of the sweep kernel: it
 partitions expanded specs into catalog-served points, columnar groups
@@ -37,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.embodied import LinearAmortization
+from repro.core.embodied import EmbodiedCarbonCalculator, LinearAmortization
 from repro.core.results import (
     ActiveCarbonResult,
     EmbodiedCarbonResult,
@@ -51,7 +54,11 @@ from repro.units.constants import (
     SECONDS_PER_YEAR,
 )
 
-from repro.api.assessment import Assessment, resolve_spec_components
+from repro.api.assessment import (
+    Assessment,
+    resolve_spec_components,
+    with_resolved_intensity,
+)
 from repro.api.registry import AMORTIZATION_POLICIES
 from repro.api.result import AssessmentResult
 from repro.api.spec import CATALOG_ESTIMATOR, AssessmentSpec
@@ -114,15 +121,18 @@ def evaluate_ensemble_columns(spec: AssessmentSpec, substrates: SubstrateCache,
     # Embodied term under linear amortisation: every node asset shares
     # the sampled lifetime, so the per-asset min(share, 1) clamp
     # distributes over the fleet sum; network fabrics amortise over
-    # their own fixed lifetime and contribute a constant.
+    # their own fixed lifetime and contribute a constant.  The sums run
+    # over Python floats with the builtin ``sum``, in asset order.
     period_s = spec.duration_hours * SECONDS_PER_HOUR
-    assets = assessment.embodied_assets()
-    node_kg = sum(a.embodied_kgco2 for a in assets if a.component == "nodes")
-    node_count = sum(1 for a in assets if a.component == "nodes")
+    columns = assessment.embodied_columns()
+    is_node = np.array([name == "nodes" for name in columns.components],
+                       dtype=bool)[columns.component_codes]
+    node_kg = sum(columns.embodied_kgco2[is_node].tolist())
+    node_count = int(np.count_nonzero(is_node))
     network_kg = sum(
-        a.embodied_kgco2 * min(
-            period_s / (a.lifetime_years * SECONDS_PER_YEAR), 1.0)
-        for a in assets if a.component != "nodes")
+        kg * min(period_s / (lifetime_years * SECONDS_PER_YEAR), 1.0)
+        for kg, lifetime_years in zip(columns.embodied_kgco2[~is_node].tolist(),
+                                      columns.lifetime_years[~is_node].tolist()))
 
     lifetime = column_or("lifetime_years", spec.lifetime_years)
     share = np.minimum(period_s / (lifetime * SECONDS_PER_YEAR), 1.0)
@@ -210,10 +220,16 @@ def compile_sweep(
         lambda spec: spec.physical_key())
     dispositions: List[str] = []
     groups: Dict[object, List[int]] = {}
+    # Eligibility reads only these fields: decide once per combination.
+    eligible: Dict[Tuple[bool, str, str], bool] = {}
     for index, spec in enumerate(specs):
+        key = (spec.per_server_kgco2 is None, spec.embodied_estimator,
+               spec.amortization)
+        if key not in eligible:
+            eligible[key] = columnar_eligible(spec)
         if recorder is not None and recorder.can_serve(kind, spec.to_dict()):
             dispositions.append(SERVED)
-        elif columnar_eligible(spec):
+        elif eligible[key]:
             dispositions.append(COLUMNAR)
             groups.setdefault(key_of(spec), []).append(index)
         else:
@@ -235,57 +251,61 @@ def evaluate_assessment_group(
 
     Every spec must share a substrate (equal physical keys) and satisfy
     :func:`columnar_eligible`; the caller (the planner) guarantees both.
-    The arithmetic replays ``Assessment.run_live``'s float operations in
+    The active term replays ``Assessment.run_live``'s float operations in
     the reference operand order — numpy's elementwise IEEE-754 double ops
     match CPython's scalar ops bit-for-bit when the per-element operation
-    order does — so the returned results are bit-identical to the
+    order does.  The embodied term is the calculator ``run_live`` uses,
+    called once per distinct (``per_server_kgco2``, ``lifetime_years``)
+    pair in the group.  So the returned results are bit-identical to the
     per-spec loop, not merely close.
     """
     specs = list(specs)
     if not specs:
         return []
+    # Resolution reads only registry names (and whether the override and
+    # the intensity are set): resolve each distinct combination once.
     policy = None
+    resolved_names = set()
     for spec in specs:
-        factory = resolve_spec_components(spec)
-        if policy is None:
-            policy = factory()
+        names = (spec.amortization, spec.embodied_estimator, spec.inventory,
+                 spec.grid, spec.per_server_kgco2 is None,
+                 spec.carbon_intensity_g_per_kwh is None)
+        if names not in resolved_names:
+            resolved_names.add(names)
+            factory = resolve_spec_components(spec)
+            if policy is None:
+                policy = factory()
 
-    # One snapshot serves the whole group; calling through the cache per
-    # spec keeps the hit statistics identical to the reference loop.
-    snapshot = None
+    # One snapshot serves the whole group; the cache counts one lookup per
+    # spec, so its hit statistics match the reference loop's.
+    snapshot = substrates.shared_snapshot(specs)
+    grid_intensity: Dict[str, float] = {}
     resolved: List[float] = []
     for spec in specs:
-        snap = substrates.snapshot(spec)
-        if snapshot is None:
-            snapshot = snap
         value = spec.carbon_intensity_g_per_kwh
         if value is None:
-            series = substrates.intensity_series(spec.grid)
-            value = series.reference_values()["medium"].g_per_kwh
+            value = grid_intensity.get(spec.grid)
+            if value is None:
+                series = substrates.intensity_series(spec.grid)
+                value = series.reference_values()["medium"].g_per_kwh
+                grid_intensity[spec.grid] = value
         resolved.append(value)
-
-    n = len(specs)
-    intensity = np.array(resolved, dtype=np.float64)
-    pue = np.array([spec.pue for spec in specs], dtype=np.float64)
-    lifetime = np.array([spec.lifetime_years for spec in specs],
-                        dtype=np.float64)
-    override = np.array([spec.per_server_kgco2 is not None for spec in specs],
-                        dtype=bool)
-    per_server = np.array(
-        [spec.per_server_kgco2 if spec.per_server_kgco2 is not None else 0.0
-         for spec in specs], dtype=np.float64)
 
     energy = snapshot.active_energy_input()
     period = energy.period
-    period_s = period.seconds
     node_kwh = energy.total_node_kwh
     network_kwh = energy.network_energy_kwh
     it_kwh = energy.it_energy_kwh
 
-    # Active term, in the calculator's exact operand order: the overhead
-    # is IT energy times (PUE - 1), split by the stock fraction model,
-    # and each component's kWh is priced through the Energy round-trip
-    # (kWh -> joules -> kWh) the quantity layer performs.
+    # Active term, once per distinct (intensity, PUE) pair, in the
+    # calculator's exact operand order: the overhead is IT energy times
+    # (PUE - 1), split by the stock fraction model, and each component's
+    # kWh is priced through the Energy round-trip (kWh -> joules -> kWh)
+    # the quantity layer performs.
+    active_pairs = list(dict.fromkeys(
+        (value, spec.pue) for value, spec in zip(resolved, specs)))
+    intensity = np.array([value for value, _ in active_pairs], dtype=np.float64)
+    pue = np.array([value for _, value in active_pairs], dtype=np.float64)
     fractions = FacilityOverheadModel()
     overhead = it_kwh * (pue - 1.0)
     cooling = overhead * fractions.cooling_fraction
@@ -297,85 +317,48 @@ def evaluate_assessment_group(
         grams = ((energy_kwh * JOULES_PER_KWH) / JOULES_PER_KWH) * intensity
         return grams / GRAMS_PER_KILOGRAM
 
-    nodes_kg = _price_kg(node_kwh)
-    network_kg = _price_kg(network_kwh)
-    cooling_kg = _price_kg(cooling)
-    distribution_kg = _price_kg(distribution)
-    building_kg = _price_kg(building)
-
-    # Embodied term.  The asset template is shared by the group: node
-    # assets differ across specs only through the per-server override
-    # column and the lifetime column (linear amortisation), while
-    # non-node assets (network fabrics) amortise over their own fixed
-    # lifetimes and charge the same constant to every spec.  The
-    # per-component totals accumulate asset by asset in template order,
-    # exactly like EmbodiedCarbonCalculator.evaluate.
-    assets = snapshot.embodied_assets(None, specs[0].lifetime_years)
-    clamped = np.minimum(period_s / (lifetime * SECONDS_PER_YEAR), 1.0)
-    component_order: List[str] = []
-    constant_kg: Dict[str, float] = {}
-    node_total = np.zeros(n, dtype=np.float64)
-    charged_cache: Dict[float, np.ndarray] = {}
-    for asset in assets:
-        if asset.component not in component_order:
-            component_order.append(asset.component)
-        if asset.component == "nodes":
-            column = charged_cache.get(asset.embodied_kgco2)
-            if column is None:
-                kg = np.where(override, per_server, asset.embodied_kgco2)
-                column = kg * clamped
-                charged_cache[asset.embodied_kgco2] = column
-            node_total += column
-        else:
-            charged = policy.period_kgco2(asset, period)
-            constant_kg[asset.component] = (
-                constant_kg.get(asset.component, 0.0) + charged)
-
-    installed_cache: Dict[Optional[float], float] = {}
-
-    def _installed_kg(per_server_kgco2: Optional[float]) -> float:
-        total = installed_cache.get(per_server_kgco2)
-        if total is None:
-            total = 0.0
-            for asset in assets:
-                if per_server_kgco2 is not None and asset.component == "nodes":
-                    total += per_server_kgco2
-                else:
-                    total += asset.embodied_kgco2
-            installed_cache[per_server_kgco2] = total
-        return total
-
-    results: List[AssessmentResult] = []
-    for j, spec in enumerate(specs):
-        active = ActiveCarbonResult(
+    columns = zip(facility.tolist(), intensity.tolist(), pue.tolist(),
+                  _price_kg(node_kwh).tolist(), _price_kg(network_kwh).tolist(),
+                  _price_kg(cooling).tolist(), _price_kg(distribution).tolist(),
+                  _price_kg(building).tolist())
+    actives = {
+        pair: ActiveCarbonResult(
             period=period,
             it_energy_kwh=it_kwh,
-            facility_energy_kwh=float(facility[j]),
-            carbon_intensity_g_per_kwh=float(intensity[j]),
-            pue=spec.pue,
+            facility_energy_kwh=facility_kwh,
+            carbon_intensity_g_per_kwh=intensity_g,
+            pue=pue_value,
             carbon_by_component_kg={
-                "nodes": float(nodes_kg[j]),
-                "network": float(network_kg[j]),
-                "cooling": float(cooling_kg[j]),
-                "power_distribution": float(distribution_kg[j]),
-                "building": float(building_kg[j]),
+                "nodes": nodes_kg,
+                "network": network_kg,
+                "cooling": cooling_kg,
+                "power_distribution": distribution_kg,
+                "building": building_kg,
             },
         )
-        by_component = {
-            component: (float(node_total[j]) if component == "nodes"
-                        else constant_kg[component])
-            for component in component_order
-        }
-        embodied = EmbodiedCarbonResult(
-            period=period,
-            carbon_by_component_kg=by_component,
-            total_installed_kg=_installed_kg(spec.per_server_kgco2),
-            amortization_policy=policy.name,
-        )
+        for pair, (facility_kwh, intensity_g, pue_value, nodes_kg, network_kg,
+                   cooling_kg, distribution_kg, building_kg)
+        in zip(active_pairs, columns)
+    }
+
+    # Embodied term: the specs differ only in the per-server override and
+    # the lifetime, so each distinct pair is evaluated once.
+    calculator = EmbodiedCarbonCalculator(policy)
+    embodied_by_pair: Dict[Tuple[Optional[float], float], EmbodiedCarbonResult] = {}
+
+    results: List[AssessmentResult] = []
+    for value, spec in zip(resolved, specs):
+        pair = (spec.per_server_kgco2, spec.lifetime_years)
+        embodied = embodied_by_pair.get(pair)
+        if embodied is None:
+            embodied = calculator.evaluate(
+                snapshot.embodied_columns(*pair), period)
+            embodied_by_pair[pair] = embodied
         results.append(AssessmentResult(
-            spec=spec.replace(carbon_intensity_g_per_kwh=resolved[j]),
+            spec=with_resolved_intensity(spec, value),
             snapshot=snapshot,
-            total=TotalCarbonResult(active=active, embodied=embodied),
+            total=TotalCarbonResult(active=actives[value, spec.pue],
+                                    embodied=embodied),
         ))
     return results
 

@@ -27,9 +27,10 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.io.jsonio import PathLike, read_json, write_json
+from repro.temporal.align import ALIGNMENT_POLICIES
 
 #: Spec value meaning "use the hardware catalog's embodied figures"
 #: (datasheet PCF when declared, bottom-up estimate otherwise) — the
@@ -68,15 +69,40 @@ COLUMNAR_SWEEP_FIELDS = ANALYSIS_SAMPLE_FIELDS + ("grid",)
 
 #: Numeric fields stored as ``float``, so ``1`` and ``1.0`` give one spec,
 #: one serialised document and one digest.
-_FLOAT_FIELDS = (
+_FLOAT_FIELDS = frozenset((
     "node_scale", "duration_hours", "trace_step_s",
     "carbon_intensity_g_per_kwh", "pue", "per_server_kgco2",
     "lifetime_years", "temporal_resolution_s", "shift_hours",
     "defer_fraction",
-)
-_OPTIONAL_FLOAT_FIELDS = (
+))
+_OPTIONAL_FLOAT_FIELDS = frozenset((
     "carbon_intensity_g_per_kwh", "per_server_kgco2", "temporal_resolution_s",
-)
+))
+
+#: Field -> (test, message) for every range check; the test is true for a
+#: bad value, which fills the message's ``{}``.
+_CHECKS = {
+    "inventory": (lambda v: not v, "inventory must be non-empty"),
+    "node_scale": (lambda v: not 0.0 < v <= 1.0, "node_scale must be in (0, 1]"),
+    "duration_hours": (lambda v: v <= 0, "duration_hours must be positive"),
+    "trace_step_s": (lambda v: v <= 0, "trace_step_s must be positive"),
+    "grid": (lambda v: not v, "grid must be non-empty"),
+    "carbon_intensity_g_per_kwh": (lambda v: v is not None and v < 0,
+                                   "carbon_intensity_g_per_kwh must be non-negative"),
+    "pue": (lambda v: v < 1.0, "pue must be at least 1.0"),
+    "embodied_estimator": (lambda v: not v, "embodied_estimator must be non-empty"),
+    "per_server_kgco2": (lambda v: v is not None and v <= 0,
+                         "per_server_kgco2 must be positive when given"),
+    "lifetime_years": (lambda v: v <= 0, "lifetime_years must be positive"),
+    "amortization": (lambda v: not v, "amortization must be non-empty"),
+    "trace_source": (lambda v: not v, "trace_source must be non-empty"),
+    "temporal_resolution_s": (lambda v: v is not None and v <= 0,
+                              "temporal_resolution_s must be positive when given"),
+    "alignment": (lambda v: v not in ALIGNMENT_POLICIES,
+                  "alignment must be one of " + ", ".join(ALIGNMENT_POLICIES)
+                  + ", got {!r}"),
+    "defer_fraction": (lambda v: not 0.0 <= v < 1.0, "defer_fraction must be in [0, 1)"),
+}
 
 _BY_SIZE = "out-of-core storage is now chosen from the fleet size"
 
@@ -165,45 +191,24 @@ class AssessmentSpec:
     defer_fraction: float = 0.0
 
     def __post_init__(self):
-        self._normalise_numbers()
-        if not self.inventory:
-            raise ValueError("inventory must be non-empty")
-        if not 0.0 < self.node_scale <= 1.0:
-            raise ValueError("node_scale must be in (0, 1]")
-        if self.duration_hours <= 0:
-            raise ValueError("duration_hours must be positive")
-        if self.trace_step_s <= 0:
-            raise ValueError("trace_step_s must be positive")
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
-        if (self.carbon_intensity_g_per_kwh is not None
-                and self.carbon_intensity_g_per_kwh < 0):
-            raise ValueError("carbon_intensity_g_per_kwh must be non-negative")
-        if self.pue < 1.0:
-            raise ValueError("pue must be at least 1.0")
-        if not self.embodied_estimator:
-            raise ValueError("embodied_estimator must be non-empty")
-        if self.per_server_kgco2 is not None and self.per_server_kgco2 <= 0:
-            raise ValueError("per_server_kgco2 must be positive when given")
-        if self.lifetime_years <= 0:
-            raise ValueError("lifetime_years must be positive")
-        if not self.amortization:
-            raise ValueError("amortization must be non-empty")
-        if not self.trace_source:
-            raise ValueError("trace_source must be non-empty")
-        if self.temporal_resolution_s is not None and self.temporal_resolution_s <= 0:
-            raise ValueError("temporal_resolution_s must be positive when given")
-        from repro.temporal.align import ALIGNMENT_POLICIES
+        self._validate(_FIELD_ORDER)
 
-        if self.alignment not in ALIGNMENT_POLICIES:
-            raise ValueError(
-                f"alignment must be one of {', '.join(ALIGNMENT_POLICIES)}, "
-                f"got {self.alignment!r}"
-            )
-        if not 0.0 <= self.defer_fraction < 1.0:
-            raise ValueError("defer_fraction must be in [0, 1)")
+    def _validate(self, names: Sequence[str]) -> None:
+        """Normalise, then range-check, the named fields (in field order).
 
-    def _normalise_numbers(self) -> None:
+        Every check reads one field, so a copy of a valid spec needs only
+        its changed fields checked (see :meth:`replace`).
+        """
+        self._normalise_numbers(names)
+        for name in names:
+            check = _CHECKS.get(name)
+            if check is not None:
+                bad, message = check
+                value = getattr(self, name)
+                if bad(value):
+                    raise ValueError(message.format(value))
+
+    def _normalise_numbers(self, names: Sequence[str]) -> None:
         """Store floats as finite ``float`` and the seed as ``int``.
 
         Equal specs must serialise identically: ``1`` and ``1.0`` compare
@@ -212,7 +217,9 @@ class AssessmentSpec:
         are rejected: JSON parsers accept ``NaN`` and ``Infinity``, and no
         range check below can catch a NaN.
         """
-        for name in _FLOAT_FIELDS:
+        for name in names:
+            if name not in _FLOAT_FIELDS:
+                continue
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_FLOAT_FIELDS:
                 continue
@@ -227,6 +234,8 @@ class AssessmentSpec:
                 object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if "campaign_seed" not in names:
+            return
         seed = self.campaign_seed
         if type(seed) is int:
             return
@@ -256,8 +265,19 @@ class AssessmentSpec:
         )
 
     def replace(self, **changes: Any) -> "AssessmentSpec":
-        """A copy of the spec with the given fields replaced (validated)."""
-        return dataclasses.replace(self, **changes)
+        """A copy of the spec with the given fields replaced (validated).
+
+        The unchanged fields were validated with this spec, so only the
+        changed ones are checked again.  An unknown name raises
+        ``__init__``'s ``TypeError``.
+        """
+        if not changes.keys() <= _FIELD_INDEX.keys():
+            return type(self)(**{**self.__dict__, **changes})
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__)
+        spec.__dict__.update(changes)
+        spec._validate(sorted(changes, key=_FIELD_INDEX.__getitem__))
+        return spec
 
     # -- dict / JSON round-trip -----------------------------------------------------
 
@@ -307,6 +327,11 @@ class AssessmentSpec:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: an assessment spec must be a JSON object")
         return cls.from_dict(data)
+
+
+#: Field names in declaration order, and each name's position.
+_FIELD_ORDER = tuple(field.name for field in dataclasses.fields(AssessmentSpec))
+_FIELD_INDEX = {name: index for index, name in enumerate(_FIELD_ORDER)}
 
 
 def default_spec(node_scale: float = 1.0, **overrides: Any) -> AssessmentSpec:

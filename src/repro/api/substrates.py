@@ -27,8 +27,9 @@ from __future__ import annotations
 import threading
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro.api.registry import GRID_PROVIDERS, INVENTORY_SOURCES
 from repro.grid.intensity import CarbonIntensitySeries
 from repro.inventory.catalog import HardwareCatalog, default_catalog
 
@@ -164,7 +165,8 @@ class SubstrateCache:
                 raise
             slot.event.set()
             return slot.value
-        slot.event.wait()
+        if not slot.event.is_set():  # a hit on a finished slot skips the wait
+            slot.event.wait()
         if slot.error is not None:
             # Never re-raise the owner's exception object (see _waiter_error).
             raise _waiter_error(slot.error)
@@ -192,13 +194,22 @@ class SubstrateCache:
         provider name (``overwrite=True``) is picked up instead of serving
         the replaced provider's stale series.
         """
-        from repro.api.registry import GRID_PROVIDERS
-
         factory = GRID_PROVIDERS.get(grid)
         return self._compute_once(
             "intensity", (grid, days, factory),
             lambda: factory(days=days),
         )
+
+    def shared_snapshot(self, specs: Sequence["AssessmentSpec"]) -> "SnapshotResult":
+        """The one snapshot of ``specs``, which share a physical configuration.
+
+        Counts as one :meth:`snapshot` call per spec (the first may
+        simulate, the rest are hits) without paying a lookup for each.
+        """
+        snapshot = self.snapshot(specs[0])
+        with self._lock:
+            self.snapshot_hits += len(specs) - 1
+        return snapshot
 
     def snapshot(self, spec: "AssessmentSpec") -> "SnapshotResult":
         """The simulated snapshot for the spec's physical configuration.
@@ -218,12 +229,11 @@ class SubstrateCache:
         :class:`~repro.snapshot.experiment.SnapshotExperiment`) and never
         touch ``persist_dir``.
         """
-        from repro.api.registry import INVENTORY_SOURCES
-        from repro.snapshot.experiment import SnapshotExperiment, out_of_core
-
         factory = INVENTORY_SOURCES.get(spec.inventory)
 
         def _run() -> "SnapshotResult":
+            from repro.snapshot.experiment import SnapshotExperiment, out_of_core
+
             config = factory(spec)
             digest = None
             if self._persist_dir is not None:

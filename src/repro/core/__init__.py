@@ -31,6 +31,7 @@ from repro.core.embodied import (
     CoreHoursAmortization,
     EmbodiedAsset,
     EmbodiedCarbonCalculator,
+    EmbodiedColumns,
     LinearAmortization,
     UtilizationWeightedAmortization,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "CoreHoursAmortization",
     "EmbodiedAsset",
     "EmbodiedCarbonCalculator",
+    "EmbodiedColumns",
     "CarbonModel",
     "SnapshotInputs",
     "ScenarioLevel",

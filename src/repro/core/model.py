@@ -11,13 +11,14 @@ orchestration assembles from the measurement campaign and the inventory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.core.active import ActiveCarbonCalculator, ActiveEnergyInput
 from repro.core.embodied import (
     AmortizationPolicy,
     EmbodiedAsset,
     EmbodiedCarbonCalculator,
+    EmbodiedColumns,
     LinearAmortization,
 )
 from repro.core.results import TotalCarbonResult
@@ -35,16 +36,19 @@ class SnapshotInputs:
         The measured active energy (node groups, network, optional measured
         overhead) for the period.
     assets:
-        The embodied-carbon asset list for everything installed.
+        The embodied-carbon assets for everything installed: a list of
+        :class:`~repro.core.embodied.EmbodiedAsset` (kept as a tuple) or
+        their :class:`~repro.core.embodied.EmbodiedColumns`.
     """
 
     energy: ActiveEnergyInput
-    assets: Sequence[EmbodiedAsset]
+    assets: Union[Sequence[EmbodiedAsset], EmbodiedColumns]
 
     def __post_init__(self):
         if not self.assets:
             raise ValueError("SnapshotInputs requires at least one embodied asset")
-        object.__setattr__(self, "assets", tuple(self.assets))
+        if not isinstance(self.assets, EmbodiedColumns):
+            object.__setattr__(self, "assets", tuple(self.assets))
 
     @property
     def period(self) -> Duration:
@@ -111,7 +115,7 @@ class CarbonModel:
     def evaluate(self, inputs: SnapshotInputs) -> TotalCarbonResult:
         """Evaluate ``C_t = C_a + C_e`` for the supplied inputs."""
         active = self._active.evaluate(inputs.energy)
-        embodied = self._embodied.evaluate(list(inputs.assets), inputs.period)
+        embodied = self._embodied.evaluate(inputs.assets, inputs.period)
         return TotalCarbonResult(active=active, embodied=embodied)
 
     def evaluate_annualised_kg(self, inputs: SnapshotInputs) -> float:

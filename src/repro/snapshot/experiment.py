@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.active import ActiveEnergyInput
-from repro.core.embodied import EmbodiedAsset
+from repro.core.embodied import EmbodiedAsset, EmbodiedColumns, MaskedColumn
 from repro.core.model import CarbonModel, SnapshotInputs
 from repro.core.results import TotalCarbonResult
 from repro.core.scenarios import ActiveScenarioGrid, EmbodiedScenarioGrid
@@ -133,6 +133,78 @@ class SiteSnapshotResult:
     def mean_node_power_w(self) -> float:
         """Average per-node power implied by the best estimate."""
         return self.best_estimate_kwh * 1000.0 / (self.config.node_count * self._duration_hours)
+
+
+@dataclass(frozen=True, eq=False)
+class _EmbodiedTemplate:
+    """The part of a snapshot's embodied columns no call changes.
+
+    Nodes come site by site in ``node_specs`` order, each site followed by
+    its network fabric when it has switches.  A call fills in the nodes'
+    figures and lifetime; the fabrics keep their own.
+    """
+
+    asset_ids: Tuple[str, ...]
+    component_codes: np.ndarray
+    components: Tuple[str, ...]
+    #: Asset index of each node.
+    node_positions: np.ndarray
+    #: Distinct node models in order of first appearance, and per node the
+    #: index of its model.
+    models: Tuple[str, ...]
+    model_index: np.ndarray
+    #: Fabric figures and lifetimes at their positions (0.0 at nodes).
+    fixed_kgco2: np.ndarray
+    fixed_lifetime_years: np.ndarray
+    period_utilization: MaskedColumn
+    lifetime_utilization: MaskedColumn
+    #: Catalog figure per model, filled on first use.
+    catalog_kgco2: Dict[str, float]
+
+    @classmethod
+    def build(cls, site_results: Sequence[SiteSnapshotResult]) -> "_EmbodiedTemplate":
+        asset_ids: List[str] = []
+        codes: List[int] = []
+        components: Dict[str, int] = {}
+        node_positions: List[int] = []
+        models: Dict[str, int] = {}
+        model_index: List[int] = []
+        fixed_kgco2: List[float] = []
+        fixed_lifetime: List[float] = []
+        utilization: List[Optional[float]] = []
+        for result in site_results:
+            for node_id, model_name in result.node_specs.items():
+                node_positions.append(len(asset_ids))
+                asset_ids.append(node_id)
+                codes.append(components.setdefault("nodes", len(components)))
+                model_index.append(models.setdefault(model_name, len(models)))
+                fixed_kgco2.append(0.0)
+                fixed_lifetime.append(0.0)
+                utilization.append(result.per_node_utilization.get(node_id))
+            fabric = NetworkFabric.sized_for_nodes(result.config.node_count)
+            if fabric.switch_count:
+                asset_ids.append(f"{result.site}-network")
+                codes.append(components.setdefault("network", len(components)))
+                fixed_kgco2.append(fabric.total_embodied_kgco2)
+                fixed_lifetime.append(fabric.leaf_spec.lifetime_years)
+                utilization.append(None)
+        node_positions_array = np.array(node_positions, dtype=np.intp)
+        is_node = np.zeros(len(asset_ids), dtype=bool)
+        is_node[node_positions_array] = True
+        return cls(
+            asset_ids=tuple(asset_ids),
+            component_codes=np.array(codes, dtype=np.intp),
+            components=tuple(components),
+            node_positions=node_positions_array,
+            models=tuple(models),
+            model_index=np.array(model_index, dtype=np.intp),
+            fixed_kgco2=np.array(fixed_kgco2, dtype=np.float64),
+            fixed_lifetime_years=np.array(fixed_lifetime, dtype=np.float64),
+            period_utilization=MaskedColumn.from_optional(utilization),
+            lifetime_utilization=MaskedColumn(
+                values=np.where(is_node, 0.6, 0.0), present=is_node),
+            catalog_kgco2={},
+        )
 
 
 @dataclass(frozen=True)
@@ -244,51 +316,62 @@ class SnapshotResult:
         lifetime_years: Optional[float] = None,
         node_kgco2_resolver: Optional[Callable[[str], float]] = None,
     ) -> List[EmbodiedAsset]:
+        """:meth:`embodied_columns` as a list of :class:`EmbodiedAsset`."""
+        return self.embodied_columns(
+            per_server_kgco2, lifetime_years, node_kgco2_resolver).assets()
+
+    def embodied_columns(
+        self,
+        per_server_kgco2: Optional[float] = None,
+        lifetime_years: Optional[float] = None,
+        node_kgco2_resolver: Optional[Callable[[str], float]] = None,
+    ) -> EmbodiedColumns:
         """One embodied asset per measured node (plus per-site network fabrics).
 
         ``per_server_kgco2`` overrides the per-node embodied carbon (used by
         the Table 4 scenario sweeps); ``node_kgco2_resolver`` maps a catalog
         model name to a per-node figure (how ``repro.api`` plugs in named
         embodied estimators); by default each node class keeps its catalog
-        datasheet figure.
+        datasheet figure.  Each call resolves one figure per distinct node
+        model and fills the rest from the snapshot's template.
         """
-        lifetime = lifetime_years or self.config.lifetime_years
-        assets: List[EmbodiedAsset] = []
-        # The catalog figure depends only on the model name: resolve each
-        # distinct model once per call, not once per node (building the
-        # catalog per node dominated the warm-substrate evaluation cost).
-        catalog_kg: Dict[str, float] = {}
-        for result in self.site_results:
-            for node_id, model_name in result.node_specs.items():
-                embodied = per_server_kgco2
-                if embodied is None and node_kgco2_resolver is not None:
-                    embodied = node_kgco2_resolver(model_name)
+        template = self._embodied_template()
+        per_model: List[float] = []
+        for model_name in template.models:
+            embodied = per_server_kgco2
+            if embodied is None and node_kgco2_resolver is not None:
+                embodied = node_kgco2_resolver(model_name)
+            if embodied is None:
+                embodied = template.catalog_kgco2.get(model_name)
                 if embodied is None:
-                    embodied = catalog_kg.get(model_name)
-                    if embodied is None:
-                        embodied = self._catalog_embodied_kg(model_name)
-                        catalog_kg[model_name] = embodied
-                assets.append(
-                    EmbodiedAsset(
-                        asset_id=node_id,
-                        component="nodes",
-                        embodied_kgco2=embodied,
-                        lifetime_years=lifetime,
-                        period_utilization=result.per_node_utilization.get(node_id),
-                        lifetime_utilization=0.6,
-                    )
-                )
-            fabric = NetworkFabric.sized_for_nodes(result.config.node_count)
-            if fabric.switch_count:
-                assets.append(
-                    EmbodiedAsset(
-                        asset_id=f"{result.site}-network",
-                        component="network",
-                        embodied_kgco2=fabric.total_embodied_kgco2,
-                        lifetime_years=fabric.leaf_spec.lifetime_years,
-                    )
-                )
-        return assets
+                    embodied = self._catalog_embodied_kg(model_name)
+                    template.catalog_kgco2[model_name] = embodied
+            per_model.append(embodied)
+        kgco2 = template.fixed_kgco2.copy()
+        kgco2[template.node_positions] = np.array(
+            per_model, dtype=np.float64)[template.model_index]
+        lifetimes = template.fixed_lifetime_years.copy()
+        lifetimes[template.node_positions] = lifetime_years or self.config.lifetime_years
+        return EmbodiedColumns(
+            asset_ids=template.asset_ids,
+            component_codes=template.component_codes,
+            components=template.components,
+            embodied_kgco2=kgco2,
+            lifetime_years=lifetimes,
+            period_utilization=template.period_utilization,
+            lifetime_utilization=template.lifetime_utilization,
+        )
+
+    def _embodied_template(self) -> "_EmbodiedTemplate":
+        # Built on first use and kept on the instance, outside the dataclass
+        # fields, so it never reaches equality, persistence or digests.  One
+        # attribute store publishes the finished template: concurrent first
+        # callers may each build one, and either is correct.
+        template = self.__dict__.get("_embodied")
+        if template is None:
+            template = _EmbodiedTemplate.build(self.site_results)
+            object.__setattr__(self, "_embodied", template)
+        return template
 
     def _catalog_embodied_kg(self, model_name: str) -> float:
         catalog = default_catalog()
@@ -314,7 +397,7 @@ class SnapshotResult:
         )
         inputs = SnapshotInputs(
             energy=self.active_energy_input(),
-            assets=self.embodied_assets(per_server_kgco2, lifetime_years),
+            assets=self.embodied_columns(per_server_kgco2, lifetime_years),
         )
         return model.evaluate(inputs)
 

@@ -5,7 +5,8 @@ replaced: the seed event-driven scheduler (:mod:`oracles.scheduler`), the
 per-placement trace builder (also there), the seed job-stream generator
 (:mod:`oracles.jobs`), the per-node power conversion
 (:mod:`oracles.power`), the per-node fleet calibration
-(:mod:`oracles.calibration`), the per-sample temporal integration
+(:mod:`oracles.calibration`), the per-asset embodied list and
+evaluation (:mod:`oracles.embodied`), the per-sample temporal integration
 (:mod:`oracles.temporal`) and the per-spec batch loops
 (:mod:`oracles.batch`).  None of them is reachable from ``src/``; a test
 swaps one into the production stage it shadows with ``monkeypatch`` (see
