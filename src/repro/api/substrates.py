@@ -107,6 +107,17 @@ class SubstrateCache:
         """Where snapshots persist across processes (``None`` = in-memory only)."""
         return self._persist_dir
 
+    @property
+    def entries(self) -> int:
+        """How many entries (completed or in flight) the cache holds now."""
+        with self._lock:
+            return len(self._slots)
+
+    @property
+    def max_entries(self) -> Optional[int]:
+        """The entry limit (``None`` = unbounded)."""
+        return self._max_entries
+
     # -- generic compute-once machinery ------------------------------------------
 
     def _evict_overflow_locked(self) -> None:

@@ -13,7 +13,6 @@ implements both terms and everything the evaluation section does with them:
 * :mod:`~repro.core.model` — the total model combining the two.
 * :mod:`~repro.core.scenarios` — the Low/Medium/High scenario grids behind
   Tables 3 and 4.
-* :mod:`~repro.core.apportionment` — assigning shared resources to the DRI.
 * :mod:`~repro.core.uncertainty` — Monte-Carlo propagation of the input
   uncertainties into a distribution over the total.
 * :mod:`~repro.core.results` — the result value objects shared by all of
@@ -43,7 +42,6 @@ from repro.core.scenarios import (
     EmbodiedScenarioGrid,
     ScenarioLevel,
 )
-from repro.core.apportionment import ShareApportionment
 from repro.core.attribution import (
     AllocationRule,
     AttributionResult,
@@ -72,7 +70,6 @@ __all__ = [
     "INTENSITY_SCENARIOS",
     "ActiveScenarioGrid",
     "EmbodiedScenarioGrid",
-    "ShareApportionment",
     "AllocationRule",
     "AttributionResult",
     "JobCarbonAttributor",

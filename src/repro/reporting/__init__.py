@@ -16,12 +16,10 @@ from repro.reporting.equivalents import (
     passenger_flight_days_equivalent,
 )
 from repro.reporting.report import AuditReport
-from repro.reporting.ghg import GHGScopeStatement, to_ghg_scopes
 from repro.reporting.temporal import (
     carbon_rate_chart,
     daily_emission_rows,
     intensity_band_rows,
-    intensity_weighted_summary,
 )
 from repro.reporting.uncertainty import (
     ensemble_histogram,
@@ -47,8 +45,6 @@ from repro.reporting.serve import (
 )
 
 __all__ = [
-    "GHGScopeStatement",
-    "to_ghg_scopes",
     "format_table",
     "format_kv_table",
     "ascii_line_chart",
@@ -61,7 +57,6 @@ __all__ = [
     "carbon_rate_chart",
     "daily_emission_rows",
     "intensity_band_rows",
-    "intensity_weighted_summary",
     "ensemble_histogram",
     "ensemble_quantile_table",
     "ensemble_summary_table",

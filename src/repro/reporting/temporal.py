@@ -1,12 +1,12 @@
 """Rendering time-resolved assessment results.
 
 The temporal engine's output is a per-interval profile; reports need it in
-three coarser forms: per-day rows (the day-to-day variation of Figure 1
-carried through to emissions), per-intensity-band rows (how much carbon was
-emitted while the grid was clean vs. dirty), and the intensity-weighted
-summary (experienced vs. time-average intensity, temporal correction,
-scenario savings).  All rendering stays text-only, like the rest of
-:mod:`repro.reporting`.
+coarser forms: per-day rows (the day-to-day variation of Figure 1 carried
+through to emissions), per-intensity-band rows (how much carbon was emitted
+while the grid was clean vs. dirty) and a chart of the emission rate.  The
+intensity-weighted headline figures are
+:meth:`~repro.temporal.profile.TemporalEmissionsProfile.summary`.  All
+rendering stays text-only, like the rest of :mod:`repro.reporting`.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ def intensity_band_rows(profile: TemporalEmissionsProfile) -> List[Dict[str, obj
     ]
 
 
-def intensity_weighted_summary(profile: TemporalEmissionsProfile) -> Dict[str, float]:
-    """The intensity-weighted headline figures of one profile.
-
-    A thin, stable wrapper over :meth:`TemporalEmissionsProfile.summary`
-    so report templates do not reach into the profile object.
-    """
-    return profile.summary()
-
-
 def carbon_rate_chart(
     profile: TemporalEmissionsProfile,
     width: int = 72,
@@ -104,6 +95,5 @@ def carbon_rate_chart(
 __all__ = [
     "daily_emission_rows",
     "intensity_band_rows",
-    "intensity_weighted_summary",
     "carbon_rate_chart",
 ]

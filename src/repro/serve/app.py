@@ -243,8 +243,8 @@ class ServeApp:
                 "snapshot_runs": cache.snapshot_runs,
                 "snapshot_hits": cache.snapshot_hits,
                 "snapshot_loads": cache.snapshot_loads,
-                "entries": len(cache._slots),
-                "max_entries": cache._max_entries,
+                "entries": cache.entries,
+                "max_entries": cache.max_entries,
             },
         }
         if self._recorder is not None:

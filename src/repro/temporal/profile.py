@@ -129,16 +129,6 @@ class TemporalEmissionsProfile:
         """Time-resolved minus period-average carbon (signed)."""
         return self.total_carbon_kg - self.window_average_carbon_kg
 
-    def peak_interval(self) -> Dict[str, float]:
-        """The interval that emitted the most carbon."""
-        index = int(np.argmax(self.carbon_kg))
-        return {
-            "time_s": float(self.times[index]),
-            "power_w": float(self.power_w[index]),
-            "intensity_g_per_kwh": float(self.intensity_g_per_kwh[index]),
-            "carbon_kg": float(self.carbon_kg[index]),
-        }
-
     # -- series views ----------------------------------------------------------------
 
     def power_series(self) -> TimeSeries:

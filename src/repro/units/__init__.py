@@ -1,4 +1,4 @@
-"""Physical quantities and unit conversions used throughout :mod:`repro`.
+"""Physical quantities and unit constants used throughout :mod:`repro`.
 
 The carbon model of the paper mixes several families of units:
 
@@ -44,20 +44,6 @@ from repro.units.constants import (
     WATTS_PER_KILOWATT,
     WATTS_PER_MEGAWATT,
 )
-from repro.units.conversions import (
-    g_to_kg,
-    g_to_tonnes,
-    j_to_kwh,
-    kg_to_g,
-    kg_to_tonnes,
-    kw_to_w,
-    kwh_to_j,
-    kwh_to_mwh,
-    mwh_to_kwh,
-    tonnes_to_kg,
-    w_to_kw,
-    wh_to_kwh,
-)
 
 __all__ = [
     "Carbon",
@@ -79,16 +65,4 @@ __all__ = [
     "SECONDS_PER_YEAR",
     "WATTS_PER_KILOWATT",
     "WATTS_PER_MEGAWATT",
-    "g_to_kg",
-    "g_to_tonnes",
-    "j_to_kwh",
-    "kg_to_g",
-    "kg_to_tonnes",
-    "kw_to_w",
-    "kwh_to_j",
-    "kwh_to_mwh",
-    "mwh_to_kwh",
-    "tonnes_to_kg",
-    "w_to_kw",
-    "wh_to_kwh",
 ]

@@ -1,4 +1,4 @@
-"""Numeric constants shared by the unit-conversion helpers.
+"""Exact unit-definition constants shared by the quantity classes and the library.
 
 Every constant is an exact definition (there is no empirical content here);
 empirical factors such as per-fuel carbon intensities live in

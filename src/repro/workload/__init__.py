@@ -27,7 +27,6 @@ from repro.workload.cluster import SimulatedCluster, SimulatedNode
 from repro.workload.fleet import FleetUtilization
 from repro.workload.scheduler import BackfillScheduler, SchedulerStatistics
 from repro.workload.utilization import UtilizationTrace, cluster_mean_utilization
-from repro.workload.swf import SWFReadResult, read_swf, write_swf
 
 __all__ = [
     "FleetUtilization",
@@ -40,7 +39,4 @@ __all__ = [
     "SchedulerStatistics",
     "UtilizationTrace",
     "cluster_mean_utilization",
-    "SWFReadResult",
-    "read_swf",
-    "write_swf",
 ]

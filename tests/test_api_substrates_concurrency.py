@@ -264,7 +264,7 @@ class TestBoundedCache:
         for key in ("a", "b", "c", "d"):
             fetch(key)
         assert computed == ["a", "b", "c", "d"]
-        assert len(cache._slots) == 2
+        assert cache.entries == 2
         # The survivors are the newest two; refetching an evicted key
         # recomputes, refetching a survivor does not.
         fetch("d")
@@ -419,7 +419,7 @@ class TestBoundedSharedCache:
         from repro.api.substrates import (
             DEFAULT_SHARED_MAX_ENTRIES, shared_substrates)
 
-        assert shared_substrates()._max_entries == DEFAULT_SHARED_MAX_ENTRIES
+        assert shared_substrates().max_entries == DEFAULT_SHARED_MAX_ENTRIES
 
     def test_hundred_distinct_specs_hold_at_most_the_cap(self):
         from repro.api.substrates import DEFAULT_SHARED_MAX_ENTRIES
@@ -429,7 +429,7 @@ class TestBoundedSharedCache:
             # Stand-ins for 100 distinct physical-spec snapshot entries;
             # the eviction policy only sees (kind, key) slots.
             cache._compute_once("snapshot", (index,), lambda i=index: i)
-        assert len(cache._slots) <= DEFAULT_SHARED_MAX_ENTRIES
+        assert cache.entries <= DEFAULT_SHARED_MAX_ENTRIES
         # The newest entries survived; the oldest were evicted.
         assert ("snapshot", (99,)) in cache._slots
         assert ("snapshot", (0,)) not in cache._slots

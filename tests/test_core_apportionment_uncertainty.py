@@ -1,43 +1,13 @@
-"""Tests for shared-resource apportionment and the closed-form Monte Carlo."""
+"""Tests for the uncertain inputs and the closed-form Monte Carlo."""
 
 import numpy as np
 import pytest
 
-from repro.core.apportionment import ApportionmentBasis, ShareApportionment
 from repro.core.uncertainty import (
     UncertainInput,
     closed_form_draws,
     summarise_closed_form,
 )
-
-
-class TestShareApportionment:
-    def test_fully_assigned_matches_paper_assumption(self):
-        share = ShareApportionment.fully_assigned()
-        assert share.fraction == 1.0
-        assert share.apportion(123.0) == 123.0
-
-    def test_by_capacity(self):
-        share = ShareApportionment.by_capacity(dri_amount=256.0, total_amount=1024.0)
-        assert share.fraction == pytest.approx(0.25)
-        assert share.apportion(1000.0) == pytest.approx(250.0)
-        assert share.basis is ApportionmentBasis.CAPACITY
-
-    def test_by_usage(self):
-        share = ShareApportionment.by_usage(dri_amount=30.0, total_amount=90.0)
-        assert share.fraction == pytest.approx(1.0 / 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShareApportionment(basis=ApportionmentBasis.FIXED)
-        with pytest.raises(ValueError):
-            ShareApportionment(basis=ApportionmentBasis.FIXED, fixed_fraction=1.5)
-        with pytest.raises(ValueError):
-            ShareApportionment.by_capacity(10.0, 0.0)
-        with pytest.raises(ValueError):
-            ShareApportionment.by_capacity(20.0, 10.0)
-        with pytest.raises(ValueError):
-            ShareApportionment.fully_assigned().apportion(-1.0)
 
 
 class TestUncertainInput:

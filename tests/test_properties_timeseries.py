@@ -1,8 +1,8 @@
-"""Property-based tests: unit-conversion round-trips and timeseries invariants.
+"""Property-based tests: quantity arithmetic and timeseries invariants.
 
 Complements ``test_properties.py`` with the invariants the time-resolved
-engine leans on: every scalar conversion in ``units.conversions`` round-
-trips, series time grids are strictly monotone, resampling conserves energy
+engine leans on: the quantity classes agree with plain arithmetic, series
+time grids are strictly monotone, resampling conserves energy
 (amount-like) or the mean (rate-like), alignment preserves the sample grid,
 and the temporal scenario transforms conserve energy while never increasing
 carbon.
@@ -27,54 +27,22 @@ from repro.timeseries.align import align_many, common_window
 from repro.timeseries.integrate import energy_kwh_from_power_w
 from repro.timeseries.resample import resample_mean, resample_sum, upsample_repeat
 from repro.timeseries.series import TimeSeries
-from repro.units import conversions
 from repro.units.quantities import CarbonIntensity, Duration, Energy, Power
-
-#: (forward, inverse) pairs covering every conversion helper.
-_CONVERSION_PAIRS = [
-    (conversions.w_to_kw, conversions.kw_to_w),
-    (conversions.j_to_kwh, conversions.kwh_to_j),
-    (conversions.kwh_to_mwh, conversions.mwh_to_kwh),
-    (conversions.g_to_kg, conversions.kg_to_g),
-    (conversions.kg_to_tonnes, conversions.tonnes_to_kg),
-]
 
 
 class TestConversionRoundTrips:
-    @given(value=finite_positive)
-    def test_scalar_round_trips(self, value):
-        for forward, inverse in _CONVERSION_PAIRS:
-            assert inverse(forward(value)) == pytest.approx(value, rel=1e-12)
-            assert forward(inverse(value)) == pytest.approx(value, rel=1e-12)
-
-    @given(value=finite_positive)
-    def test_chained_conversions_compose(self, value):
-        # g -> kg -> tonnes equals the direct g -> tonnes helper.
-        via_kg = conversions.kg_to_tonnes(conversions.g_to_kg(value))
-        assert via_kg == pytest.approx(conversions.g_to_tonnes(value), rel=1e-12)
-        # Wh -> kWh agrees with J -> kWh through the 3600 J/Wh identity.
-        assert conversions.wh_to_kwh(value) == pytest.approx(
-            conversions.j_to_kwh(value * 3600.0), rel=1e-12)
-
-    @given(values=st.lists(finite_positive, min_size=1, max_size=16))
-    def test_array_round_trips(self, values):
-        arr = np.array(values)
-        for forward, inverse in _CONVERSION_PAIRS:
-            np.testing.assert_allclose(inverse(forward(arr)), arr, rtol=1e-12)
-
     @given(kwh=finite_positive, g_per_kwh=st.floats(min_value=0.0, max_value=2000.0,
                                                     allow_nan=False))
     def test_quantity_and_scalar_paths_agree(self, kwh, g_per_kwh):
         quantity_kg = CarbonIntensity(g_per_kwh).carbon_for(Energy.from_kwh(kwh)).kg
-        scalar_kg = conversions.g_to_kg(kwh * g_per_kwh)
+        scalar_kg = kwh * g_per_kwh / 1000.0
         assert quantity_kg == pytest.approx(scalar_kg, rel=1e-12)
 
     @given(watts=finite_positive, hours=st.floats(min_value=1e-6, max_value=1e5,
                                                   allow_nan=False))
     def test_power_times_duration_round_trip(self, watts, hours):
         energy = Power.from_watts(watts) * Duration.from_hours(hours)
-        assert energy.kwh == pytest.approx(
-            conversions.j_to_kwh(watts * hours * 3600.0), rel=1e-9)
+        assert energy.kwh == pytest.approx(watts * hours / 1000.0, rel=1e-9)
 
 
 class TestTimeSeriesInvariants:

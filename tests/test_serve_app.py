@@ -149,6 +149,17 @@ class TestCrossRequestCoalescing:
         finally:
             app.close()
 
+    def test_stats_report_the_substrate_cache_size_and_limit(
+            self, counting_source):
+        app = ServeApp(ServeConfig(workers=2, max_substrates=5))
+        try:
+            _submit_concurrently(app, [("assess", _doc())])
+            substrates = app.stats()["substrates"]
+            assert substrates["entries"] == len(app.substrates._slots) > 0
+            assert substrates["max_entries"] == 5
+        finally:
+            app.close()
+
     def test_failing_simulation_fails_every_waiter_without_poisoning(self):
         """Satellite contract: per-waiter exception clones, then recovery."""
         source = _CountingIrisSource(fail_times=1)
